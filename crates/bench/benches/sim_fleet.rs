@@ -1,13 +1,10 @@
-//! X10: compiled-engine sweep throughput — scalar vs interpreted
-//! batch vs compiled bytecode vs compiled + work stealing
-//! (EXPERIMENTS X10).
+//! X10: compiled-engine sweep throughput — scalar vs compiled
+//! bytecode vs compiled + work stealing (EXPERIMENTS X10).
 //!
-//! X4 established the 64-lane interpreted batch engine's bit-parallel
-//! speedup over the scalar simulator. This bench measures the next
-//! rung: the compiled bytecode engine (256-lane planes, struct-of-
-//! arrays program, no per-node indirection) on the same 1024-vector
-//! verification sweeps over the two hardest X4 workloads, single-
-//! threaded for the pure engine speedup and then with the
+//! The compiled bytecode engine (256-lane planes, struct-of-arrays
+//! program, no per-node indirection) runs 1024-vector verification
+//! sweeps over the two hardest X4 workloads, single-threaded for the
+//! pure engine speedup over the scalar simulator and then with the
 //! work-stealing scheduler across all cores. All figures are
 //! lane-normalized vectors per second, X4-style: wall clock over the
 //! whole sweep divided into the vector count, so wider planes only
@@ -24,7 +21,7 @@ use std::time::Instant;
 
 use ipd_bench::sim_workloads;
 use ipd_hdl::{Circuit, LogicVec, PortDir};
-use ipd_sim::{Simulator, SweepEngine, VectorSweep};
+use ipd_sim::{Simulator, VectorSweep};
 
 /// Clock cycles per vector (covers the pipelined workloads' latency).
 const SWEEP_CYCLES: u64 = 2;
@@ -32,6 +29,14 @@ const SWEEP_CYCLES: u64 = 2;
 /// The X10 workloads: the largest FIR and the full-width KCM from the
 /// X4 sweep.
 const WORKLOADS: &[&str] = &["fir_t16", "kcm_w16"];
+
+/// Full-mode floor for single-threaded compiled over scalar throughput
+/// on fir_t16. It replaces "compiled >= 3x the retired interpreted
+/// engine": in five full runs on a 2-vCPU x86-64 container that engine
+/// ran fir_t16 at 15.9x, 16.8x, 17.4x, 17.9x and 21.6x the scalar
+/// simulator (median 17.4x), so the old gate meant compiled >= 52.2x
+/// scalar, rounded up here.
+const FIR_SPEEDUP_FLOOR: f64 = 53.0;
 
 struct Run {
     label: String,
@@ -101,15 +106,6 @@ fn bench_workload(name: &str, circuit: &Circuit, vectors: usize, repeats: usize)
         stimuli.len()
     }));
 
-    let interpreted = VectorSweep::new(circuit)
-        .expect("compile")
-        .engine(SweepEngine::Interpreted)
-        .cycles(SWEEP_CYCLES)
-        .threads(1);
-    runs.push(measure(&format!("{name}_batch_1t"), repeats, || {
-        interpreted.run(&stimuli).expect("run").total_vectors()
-    }));
-
     let compiled = VectorSweep::new(circuit)
         .expect("compile")
         .cycles(SWEEP_CYCLES)
@@ -127,8 +123,20 @@ fn bench_workload(name: &str, circuit: &Circuit, vectors: usize, repeats: usize)
 
     // The engines must agree before any number is worth reporting.
     let fast = compiled.run(&stimuli).expect("run");
-    let slow = interpreted.run(&stimuli).expect("run");
-    assert_eq!(fast.outputs, slow.outputs, "engines diverge on {name}");
+    for (stim, row) in stimuli.iter().zip(&fast.outputs) {
+        scalar.reset();
+        for (port, value) in stim {
+            scalar.set(port, value.clone()).expect("set");
+        }
+        scalar.cycle(SWEEP_CYCLES).expect("cycle");
+        for (port, value) in row {
+            assert_eq!(
+                value,
+                &scalar.peek(port).expect("peek"),
+                "engines diverge on {name}"
+            );
+        }
+    }
 
     runs
 }
@@ -185,19 +193,19 @@ fn main() {
     write_json(&runs);
 
     // The headline claim, asserted only under full measurement runs:
-    // the compiled engine must beat the interpreted batch engine by 3x
-    // on fir_t16, single-threaded and lane-normalized.
+    // the compiled engine must beat the scalar simulator by
+    // FIR_SPEEDUP_FLOOR on fir_t16, single-threaded and lane-normalized.
     if !fast {
-        let batch = lookup(&runs, "fir_t16_batch_1t");
+        let scalar = lookup(&runs, "fir_t16_scalar");
         let compiled = lookup(&runs, "fir_t16_compiled_1t");
         assert!(
-            compiled >= 3.0 * batch,
-            "compiled engine ({compiled:.0} vec/s) must be at least 3x \
-             the interpreted batch engine ({batch:.0} vec/s) on fir_t16"
+            compiled >= FIR_SPEEDUP_FLOOR * scalar,
+            "compiled engine ({compiled:.0} vec/s) must be at least \
+             {FIR_SPEEDUP_FLOOR}x the scalar simulator ({scalar:.0} vec/s) on fir_t16"
         );
         println!(
-            "speedup on fir_t16       : {:.1}x compiled over interpreted (1 thread)",
-            compiled / batch
+            "speedup on fir_t16       : {:.1}x compiled over scalar (1 thread)",
+            compiled / scalar
         );
     }
 }

@@ -136,13 +136,13 @@ impl std::fmt::Debug for dyn SimModel + Send {
 #[derive(Debug, Clone)]
 pub struct LocalSimModel {
     simulator: Simulator,
-    sweep: Option<VectorSweep>,
+    sweep: VectorSweep,
 }
 
 impl LocalSimModel {
     /// Compiles a circuit into a local model. The circuit is also
-    /// compiled for lane-parallel batch runs, so
-    /// [`SimModel::run_batch`] uses the bit-parallel engine.
+    /// lowered for the compiled lane-parallel engine, which
+    /// [`SimModel::run_batch`] runs on.
     ///
     /// # Errors
     ///
@@ -150,18 +150,8 @@ impl LocalSimModel {
     pub fn new(circuit: &Circuit) -> Result<Self, CosimError> {
         Ok(LocalSimModel {
             simulator: Simulator::new(circuit)?,
-            sweep: Some(VectorSweep::new(circuit)?),
+            sweep: VectorSweep::new(circuit)?,
         })
-    }
-
-    /// Wraps an existing simulator. Batch runs fall back to the serial
-    /// path (the compiled circuit is not available for lane packing).
-    #[must_use]
-    pub fn from_simulator(simulator: Simulator) -> Self {
-        LocalSimModel {
-            simulator,
-            sweep: None,
-        }
     }
 
     /// Access to the underlying simulator (e.g. for waveforms).
@@ -200,9 +190,6 @@ impl SimModel for LocalSimModel {
         cycles: u32,
         inputs: &[(String, Vec<LogicVec>)],
     ) -> Result<Vec<(String, Vec<LogicVec>)>, CosimError> {
-        let Some(sweep) = self.sweep.clone() else {
-            return run_batch_serial(self, cycles, inputs);
-        };
         let vectors = batch_vector_count(inputs)?;
         let stimuli: Vec<Vec<(String, LogicVec)>> = (0..vectors)
             .map(|k| {
@@ -212,7 +199,7 @@ impl SimModel for LocalSimModel {
                     .collect()
             })
             .collect();
-        let report = sweep.cycles(u64::from(cycles)).run(&stimuli)?;
+        let report = self.sweep.clone().cycles(u64::from(cycles)).run(&stimuli)?;
         // Transpose per-vector output rows into per-port columns.
         let mut outputs: Vec<(String, Vec<LogicVec>)> = self
             .simulator
@@ -383,9 +370,9 @@ mod tests {
         // Lane-parallel path (LocalSimModel::new).
         let mut fast = LocalSimModel::new(&circuit).unwrap();
         let fast_out = fast.run_batch(0, &inputs).unwrap();
-        // Serial fallback path (from_simulator has no compiled batch).
-        let mut slow = LocalSimModel::from_simulator(Simulator::new(&circuit).unwrap());
-        let slow_out = slow.run_batch(0, &inputs).unwrap();
+        // The serial default path every other SimModel uses.
+        let mut slow = LocalSimModel::new(&circuit).unwrap();
+        let slow_out = run_batch_serial(&mut slow, 0, &inputs).unwrap();
         assert_eq!(fast_out, slow_out);
         assert_eq!(fast_out.len(), 2);
         for (port, values) in &fast_out {

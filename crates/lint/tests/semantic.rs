@@ -11,7 +11,7 @@
 
 use ipd_hdl::{Circuit, FlatNetlist, Logic, PortSpec, Signal};
 use ipd_lint::{extract_dont_cares, LintConfig, LintReport, Linter, OracleOptions, ProofTier};
-use ipd_sim::{BatchSimulator, CompiledSimulator};
+use ipd_sim::{CompiledSimulator, SimError, Simulator};
 use ipd_techlib::LogicCtx;
 use ipd_testutil::XorShift64;
 
@@ -23,6 +23,39 @@ fn semantic_report(c: &Circuit) -> LintReport {
 
 fn structural_report(c: &Circuit) -> LintReport {
     Linter::new().run(c).unwrap()
+}
+
+/// One scalar [`Simulator`] per lane: the independently built engine
+/// every differential check below runs beside the lane-parallel
+/// [`CompiledSimulator`], through the same lane-indexed calls.
+struct ScalarLanes(Vec<Simulator>);
+
+impl ScalarLanes {
+    fn new(c: &Circuit, lanes: usize) -> Result<Self, SimError> {
+        (0..lanes)
+            .map(|_| Simulator::new(c))
+            .collect::<Result<_, _>>()
+            .map(Self)
+    }
+
+    fn with_clock(c: &Circuit, clock: &str, lanes: usize) -> Result<Self, SimError> {
+        (0..lanes)
+            .map(|_| Simulator::with_clock(c, clock))
+            .collect::<Result<_, _>>()
+            .map(Self)
+    }
+
+    fn set_u64_lane(&mut self, port: &str, lane: usize, value: u64) -> Result<(), SimError> {
+        self.0[lane].set_u64(port, value)
+    }
+
+    fn cycle(&mut self, n: u64) -> Result<(), SimError> {
+        self.0.iter_mut().try_for_each(|s| s.cycle(n))
+    }
+
+    fn peek_net_lane(&mut self, net: &str, lane: usize) -> Result<Logic, SimError> {
+        self.0[lane].peek_net(net)
+    }
 }
 
 /// (object, message) pairs of one rule, for set comparisons.
@@ -110,14 +143,14 @@ fn zoo_semantic_agrees_with_structural_and_stays_clean() {
             .iter()
             .any(|p| p.name == "clk" && p.dir == ipd_hdl::PortDir::Input);
         let lanes = 4;
-        let (mut batch, mut comp) = if has_clk {
+        let (mut scalar, mut comp) = if has_clk {
             (
-                BatchSimulator::with_clock(&circuit, "clk", lanes).unwrap(),
+                ScalarLanes::with_clock(&circuit, "clk", lanes).unwrap(),
                 CompiledSimulator::with_clock(&circuit, "clk", lanes).unwrap(),
             )
         } else {
             (
-                BatchSimulator::new(&circuit, lanes).unwrap(),
+                ScalarLanes::new(&circuit, lanes).unwrap(),
                 CompiledSimulator::new(&circuit, lanes).unwrap(),
             )
         };
@@ -128,20 +161,20 @@ fn zoo_semantic_agrees_with_structural_and_stays_clean() {
                 }
                 for lane in 0..lanes {
                     let v = rng.next_u64() & ((1u64 << port.nets.len().min(63)) - 1);
-                    batch.set_u64_lane(&port.name, lane, v).unwrap();
+                    scalar.set_u64_lane(&port.name, lane, v).unwrap();
                     comp.set_u64_lane(&port.name, lane, v).unwrap();
                 }
             }
             if has_clk {
-                batch.cycle(1).unwrap();
+                scalar.cycle(1).unwrap();
                 comp.cycle(1).unwrap();
             }
             for (net, expect) in &mined {
                 for lane in 0..lanes {
                     assert_eq!(
-                        batch.peek_net_lane(net, lane).unwrap(),
+                        scalar.peek_net_lane(net, lane).unwrap(),
                         *expect,
-                        "{name}: batch disagrees on mined constant {net}"
+                        "{name}: scalar disagrees on mined constant {net}"
                     );
                     assert_eq!(
                         comp.peek_net_lane(net, lane).unwrap(),
@@ -205,15 +238,15 @@ fn carry_chain_constants_are_confirmed_not_retracted() {
         .collect();
     assert_eq!(carry_nets.len(), 2);
     let lanes = 4;
-    let mut batch = BatchSimulator::new(&c, lanes).unwrap();
+    let mut scalar = ScalarLanes::new(&c, lanes).unwrap();
     let mut comp = CompiledSimulator::new(&c, lanes).unwrap();
     for lane in 0..lanes {
-        batch.set_u64_lane("a", lane, lane as u64).unwrap();
+        scalar.set_u64_lane("a", lane, lane as u64).unwrap();
         comp.set_u64_lane("a", lane, lane as u64).unwrap();
     }
     for net in &carry_nets {
         for lane in 0..lanes {
-            assert_eq!(batch.peek_net_lane(net, lane).unwrap(), Logic::Zero);
+            assert_eq!(scalar.peek_net_lane(net, lane).unwrap(), Logic::Zero);
             assert_eq!(comp.peek_net_lane(net, lane).unwrap(), Logic::Zero);
         }
     }
@@ -249,14 +282,14 @@ fn semantically_constant_xor_is_mined_and_proved() {
     assert!(diag.message.contains("semantically stuck at 0"), "{diag}");
     // Both engines: y never leaves 0.
     let lanes = 4;
-    let mut batch = BatchSimulator::new(&c, lanes).unwrap();
+    let mut scalar = ScalarLanes::new(&c, lanes).unwrap();
     let mut comp = CompiledSimulator::new(&c, lanes).unwrap();
     for lane in 0..lanes {
-        batch.set_u64_lane("a", lane, (lane & 1) as u64).unwrap();
-        batch.set_u64_lane("b", lane, (lane >> 1) as u64).unwrap();
+        scalar.set_u64_lane("a", lane, (lane & 1) as u64).unwrap();
+        scalar.set_u64_lane("b", lane, (lane >> 1) as u64).unwrap();
         comp.set_u64_lane("a", lane, (lane & 1) as u64).unwrap();
         comp.set_u64_lane("b", lane, (lane >> 1) as u64).unwrap();
-        assert_eq!(batch.peek_net_lane("selfx/y", lane).unwrap(), Logic::Zero);
+        assert_eq!(scalar.peek_net_lane("selfx/y", lane).unwrap(), Logic::Zero);
         assert_eq!(comp.peek_net_lane("selfx/y", lane).unwrap(), Logic::Zero);
     }
 }
@@ -299,22 +332,22 @@ fn ram_async_read_x_false_positive_is_refined_away() {
     );
     // Differential confirmation in both engines, across cycles.
     let lanes = 4;
-    let mut batch = BatchSimulator::with_clock(&c, "clk", lanes).unwrap();
+    let mut scalar = ScalarLanes::with_clock(&c, "clk", lanes).unwrap();
     let mut comp = CompiledSimulator::with_clock(&c, "clk", lanes).unwrap();
     let mut rng = XorShift64::new(0x5eed);
     for _ in 0..6 {
         for lane in 0..lanes {
             let a = rng.next_u64() & 0xF;
-            batch.set_u64_lane("addr", lane, a).unwrap();
+            scalar.set_u64_lane("addr", lane, a).unwrap();
             comp.set_u64_lane("addr", lane, a).unwrap();
         }
-        batch.cycle(1).unwrap();
+        scalar.cycle(1).unwrap();
         comp.cycle(1).unwrap();
         for lane in 0..lanes {
-            let vb = batch.peek_net_lane("ramnx/y", lane).unwrap();
+            let vs = scalar.peek_net_lane("ramnx/y", lane).unwrap();
             let vc = comp.peek_net_lane("ramnx/y", lane).unwrap();
-            assert!(vb.is_driven(), "batch saw X on never-written RAM read");
-            assert_eq!(vb, vc, "engines disagree");
+            assert!(vs.is_driven(), "scalar saw X on never-written RAM read");
+            assert_eq!(vs, vc, "engines disagree");
         }
     }
 }
@@ -338,9 +371,9 @@ fn real_x_leak_keeps_finding_with_witness_tier() {
     // The oracle replayed its witness through both engines before this
     // tier could be assigned; re-confirm independently here.
     assert_eq!(diag.proof, ProofTier::RefutedWithWitness);
-    let mut batch = BatchSimulator::new(&c, 1).unwrap();
-    batch.set_u64_lane("a", 0, 0).unwrap();
-    assert!(!batch.peek_net_lane("leak/y", 0).unwrap().is_driven());
+    let mut scalar = ScalarLanes::new(&c, 1).unwrap();
+    scalar.set_u64_lane("a", 0, 0).unwrap();
+    assert!(!scalar.peek_net_lane("leak/y", 0).unwrap().is_driven());
     let mut comp = CompiledSimulator::new(&c, 1).unwrap();
     comp.set_u64_lane("a", 0, 0).unwrap();
     assert!(!comp.peek_net_lane("leak/y", 0).unwrap().is_driven());
@@ -401,17 +434,17 @@ fn budget_exhaustion_keeps_claim_as_unknown_never_wrong() {
     assert_eq!(keys(&refined, "x-reachable"), vec![], "{refined}");
     // Both engines: y never X under driven stimulus.
     let lanes = 8;
-    let mut batch = BatchSimulator::new(&c, lanes).unwrap();
+    let mut scalar = ScalarLanes::new(&c, lanes).unwrap();
     let mut comp = CompiledSimulator::new(&c, lanes).unwrap();
     let mut rng = XorShift64::new(0xabc);
     for _ in 0..4 {
         for lane in 0..lanes {
             let v = rng.next_u64() & 0x3F;
-            batch.set_u64_lane("i", lane, v).unwrap();
+            scalar.set_u64_lane("i", lane, v).unwrap();
             comp.set_u64_lane("i", lane, v).unwrap();
         }
         for lane in 0..lanes {
-            assert_eq!(batch.peek_net_lane("pmask/y", lane).unwrap(), Logic::Zero);
+            assert_eq!(scalar.peek_net_lane("pmask/y", lane).unwrap(), Logic::Zero);
             assert_eq!(comp.peek_net_lane("pmask/y", lane).unwrap(), Logic::Zero);
         }
     }
@@ -476,10 +509,10 @@ fn stuck_register_bit_reported_as_unreachable_state() {
     assert_eq!(diags[0].proof, ProofTier::Proved);
     // The simulators agree: q2 never rises over a long run.
     let c = stuck_state_machine();
-    let mut batch = BatchSimulator::with_clock(&c, "clk", 1).unwrap();
+    let mut sim = CompiledSimulator::with_clock(&c, "clk", 1).unwrap();
     for _ in 0..16 {
-        batch.cycle(1).unwrap();
-        assert_eq!(batch.peek_net_lane("onehot/q2", 0).unwrap(), Logic::Zero);
+        sim.cycle(1).unwrap();
+        assert_eq!(sim.peek_net_lane("onehot/q2", 0).unwrap(), Logic::Zero);
     }
     // A full-period machine (every state reachable) reports nothing.
     let gray = Circuit::from_generator(&ipd_modgen::GrayCounter::new(4)).unwrap();
@@ -626,22 +659,22 @@ fn random_dag_constant_verdicts_agree_with_both_engines() {
             return;
         }
         let lanes = 4;
-        let mut batch = BatchSimulator::new(&c, lanes).unwrap();
+        let mut scalar = ScalarLanes::new(&c, lanes).unwrap();
         let mut comp = CompiledSimulator::new(&c, lanes).unwrap();
         for round in 0..4u64 {
             for lane in 0..lanes {
                 let v = rng.next_u64();
-                batch.set_u64_lane("a", lane, v & 1).unwrap();
-                batch.set_u64_lane("b", lane, (v >> 1) & 1).unwrap();
+                scalar.set_u64_lane("a", lane, v & 1).unwrap();
+                scalar.set_u64_lane("b", lane, (v >> 1) & 1).unwrap();
                 comp.set_u64_lane("a", lane, v & 1).unwrap();
                 comp.set_u64_lane("b", lane, (v >> 1) & 1).unwrap();
             }
             for (net, expect) in &claims {
                 for lane in 0..lanes {
                     assert_eq!(
-                        batch.peek_net_lane(net, lane).unwrap(),
+                        scalar.peek_net_lane(net, lane).unwrap(),
                         *expect,
-                        "batch disagrees on {net} round {round}"
+                        "scalar disagrees on {net} round {round}"
                     );
                     assert_eq!(
                         comp.peek_net_lane(net, lane).unwrap(),

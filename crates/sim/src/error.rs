@@ -76,8 +76,7 @@ pub enum SimError {
         lanes: usize,
     },
     /// A batch simulator was configured with an unsupported lane count
-    /// (at least 1, at most the engine's plane width: 64 lanes for the
-    /// interpreted engine, 256 for the compiled engine).
+    /// (at least 1, at most the 256-lane plane width).
     InvalidLanes {
         /// The requested lane count.
         lanes: usize,

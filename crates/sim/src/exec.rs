@@ -2,26 +2,26 @@
 //! flat bytecode.
 //!
 //! A [`CompiledSimulator`] runs the [`Program`](crate::program)
-//! lowered from a compiled netlist. It differs from the interpreted
-//! [`BatchSimulator`](crate::BatchSimulator) in three ways:
+//! lowered from a compiled netlist over four-state bit-planes:
 //!
 //! - **Four plane words per net.** Each net holds a [`Planes4`] — a
 //!   value plane and an unknown plane of `[u64; 4]` each, i.e. 256
-//!   lanes in one 64-byte struct. The kernels below are the word-wise
-//!   formulas of the 64-lane engine applied to all four words, so a
-//!   lane is bit-identical to the interpreted engine (and therefore to
-//!   the scalar simulator).
+//!   lanes in one 64-byte struct. The kernels below are word-wise
+//!   four-state formulas, so every lane is bit-identical to a scalar
+//!   [`Simulator`](crate::Simulator) run of the same stimulus (the
+//!   unit tests check each kernel against `PrimKind::eval_comb`
+//!   exhaustively over the four states).
 //! - **Straight-line dispatch.** Combinational settling walks the
 //!   program's parallel arrays; there is no per-node `Vec` indirection
 //!   or recursive LUT expansion (LUTs fold a mux tree bottom-up over
-//!   the same operation DAG the interpreter builds recursively, so the
-//!   result is identical).
+//!   the same Shannon-expansion tree the scalar cofactor analysis
+//!   uses, so the result is identical).
 //! - **Flip-flop state lives in the q-net plane.** A flip-flop's
 //!   output net has no combinational driver, so settling never writes
 //!   it; the clock edge computes every next-state into scratch first
 //!   (reading only pre-edge values) and then commits, preserving the
-//!   interpreter's barrier semantics without cloning the state vector
-//!   each cycle.
+//!   scalar simulator's barrier semantics without cloning the state
+//!   vector each cycle.
 //!
 //! # Example
 //!
@@ -66,7 +66,7 @@ pub const COMPILED_MAX_LANES: usize = 256;
 const WORDS: usize = 4;
 
 /// Four pairs of bit-planes holding one four-state value in each of
-/// 256 lanes. The encoding per lane matches the 64-lane engine:
+/// 256 lanes. The encoding per lane is
 /// `(v, u)` = `(0,0)` → `0`, `(1,0)` → `1`, `(0,1)` → `X`,
 /// `(1,1)` → `Z`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -202,8 +202,8 @@ fn mux_k(sel: Planes4, d0: Planes4, d1: Planes4) -> Planes4 {
     r
 }
 
-/// LUT evaluation by an iterative bottom-up mux fold over the same
-/// Shannon-expansion tree the interpreter builds recursively: level
+/// LUT evaluation by an iterative bottom-up mux fold over the
+/// Shannon-expansion tree of the scalar cofactor analysis: level
 /// `l` muxes adjacent cofactor pairs on input `l`, so every lane sees
 /// exactly the scalar cofactor analysis.
 fn lut_k(n: usize, init: u16, nets: &[Planes4], args: &[u32]) -> Planes4 {
@@ -320,13 +320,13 @@ fn eval_op(p: &Program, nets: &[Planes4], words: &[[Planes4; 16]], i: usize) -> 
     }
 }
 
-/// A 256-lane compiled simulator: the bytecode counterpart of the
-/// interpreted [`BatchSimulator`](crate::BatchSimulator), bit-exact
-/// lane for lane (including `X`/`Z` propagation) while running the
-/// flat program described in the [module docs](self).
+/// A 256-lane compiled simulator: bit-exact with the scalar
+/// [`Simulator`](crate::Simulator) lane for lane (including `X`/`Z`
+/// propagation) while running the flat program described in the
+/// [module docs](self).
 ///
-/// The API mirrors `BatchSimulator` minus waveform recording; sweeps
-/// that need traces use the interpreted engine.
+/// It records no waveforms; runs that need traces use the scalar
+/// simulator.
 #[derive(Debug, Clone)]
 pub struct CompiledSimulator {
     program: Arc<Program>,
@@ -348,8 +348,9 @@ impl CompiledSimulator {
     ///
     /// # Errors
     ///
-    /// As for [`BatchSimulator::new`](crate::BatchSimulator::new),
-    /// except lane counts up to [`COMPILED_MAX_LANES`] are accepted.
+    /// As for [`Simulator::new`](crate::Simulator::new), plus
+    /// [`SimError::InvalidLanes`] unless `1 <= lanes <=`
+    /// [`COMPILED_MAX_LANES`].
     pub fn new(circuit: &Circuit, lanes: usize) -> Result<Self, SimError> {
         let flat = FlatNetlist::build(circuit)?;
         Self::from_flat(&flat, None, lanes)
@@ -641,12 +642,7 @@ impl CompiledSimulator {
         if lane >= self.lanes {
             return None;
         }
-        let idx = self
-            .program
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)?;
-        match self.program.state_slots[idx] {
+        match self.state_slot(instance_path)? {
             StateSlot::Ff(i) => Some(self.nets[self.program.ffs[i as usize].q as usize].lane(lane)),
             StateSlot::Word(_) => None,
         }
@@ -659,12 +655,7 @@ impl CompiledSimulator {
         if lane >= self.lanes {
             return None;
         }
-        let idx = self
-            .program
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)?;
-        match self.program.state_slots[idx] {
+        match self.state_slot(instance_path)? {
             StateSlot::Word(w) => Some(
                 self.words[w as usize]
                     .iter()
@@ -676,23 +667,15 @@ impl CompiledSimulator {
     }
 
     /// Forces a flip-flop's current state by instance path in one
-    /// lane (counterexample-replay back door; see
-    /// [`BatchSimulator::set_ff_lane`](crate::BatchSimulator::set_ff_lane)).
+    /// lane (counterexample-replay back door, the lane-parallel twin of
+    /// [`Simulator::set_ff`](crate::Simulator::set_ff)).
     /// Returns `false` for unknown paths, word-state elements, or
     /// out-of-range lanes.
     pub fn set_ff_lane(&mut self, instance_path: &str, lane: usize, value: Logic) -> bool {
         if lane >= self.lanes {
             return false;
         }
-        let Some(idx) = self
-            .program
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)
-        else {
-            return false;
-        };
-        let StateSlot::Ff(i) = self.program.state_slots[idx] else {
+        let Some(StateSlot::Ff(i)) = self.state_slot(instance_path) else {
             return false;
         };
         let q = self.program.ffs[i as usize].q as usize;
@@ -709,15 +692,7 @@ impl CompiledSimulator {
         if lane >= self.lanes || value.width() != 16 {
             return false;
         }
-        let Some(idx) = self
-            .program
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)
-        else {
-            return false;
-        };
-        let StateSlot::Word(w) = self.program.state_slots[idx] else {
+        let Some(StateSlot::Word(w)) = self.state_slot(instance_path) else {
             return false;
         };
         let word = &mut self.words[w as usize];
@@ -726,6 +701,16 @@ impl CompiledSimulator {
         }
         self.dirty = true;
         true
+    }
+
+    /// Executor slot of the state element at `instance_path`.
+    fn state_slot(&self, instance_path: &str) -> Option<StateSlot> {
+        let idx = self
+            .program
+            .state_paths
+            .iter()
+            .position(|p| p == instance_path)?;
+        Some(self.program.state_slots[idx])
     }
 
     /// Lists the instance paths of all stateful elements.
@@ -873,7 +858,7 @@ impl CompiledSimulator {
         }
         if !p.levelized {
             // Iterate only the cyclic remainder to a fixpoint, with
-            // the interpreter's pass budget.
+            // the scalar simulator's pass budget.
             let mask = self.lane_mask();
             let limit = 2 * p.tags.len() + 8;
             let mut pass = 0;
@@ -913,125 +898,128 @@ impl CompiledSimulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{self, Planes};
+    use crate::program::lower_prim;
+    use crate::simulator::word_read;
+    use ipd_techlib::PrimKind;
 
     const ALL: [Logic; 4] = [Logic::Zero, Logic::One, Logic::X, Logic::Z];
 
-    /// Mirrors a 64-lane plane pair into word `w` of a `Planes4`.
-    fn widen(p: Planes, w: usize) -> Planes4 {
-        let mut r = Planes4::default();
-        r.v[w] = p.v;
-        r.u[w] = p.u;
-        r
-    }
-
-    /// Every binary kernel must equal the proven 64-lane kernel
-    /// word-for-word, for all four-state combinations in every word.
-    #[test]
-    fn binary_kernels_match_interpreted_planes() {
-        let mut a64 = Planes::default();
-        let mut b64 = Planes::default();
-        for (lane, (x, y)) in ALL
-            .iter()
-            .flat_map(|x| ALL.iter().map(move |y| (*x, *y)))
-            .enumerate()
-        {
-            a64 = a64.with_lane(lane, x);
-            b64 = b64.with_lane(lane, y);
-        }
-        for w in 0..WORDS {
-            let a = widen(a64, w);
-            let b = widen(b64, w);
-            assert_eq!(and_k(a, b).v[w], batch::and_k(a64, b64).v);
-            assert_eq!(and_k(a, b).u[w], batch::and_k(a64, b64).u);
-            assert_eq!(or_k(a, b).v[w], batch::or_k(a64, b64).v);
-            assert_eq!(or_k(a, b).u[w], batch::or_k(a64, b64).u);
-            assert_eq!(xor_k(a, b).v[w], batch::xor_k(a64, b64).v);
-            assert_eq!(xor_k(a, b).u[w], batch::xor_k(a64, b64).u);
-            assert_eq!(not_k(a).v[w], batch::not_k(a64).v);
-            assert_eq!(not_k(a).u[w], batch::not_k(a64).u);
-            assert_eq!(pess(a).v[w], batch::pess(a64).v);
-            assert_eq!(pess(a).u[w], batch::pess(a64).u);
-        }
-    }
-
-    #[test]
-    fn mux_kernel_matches_interpreted_planes() {
-        // All 64 (sel, d0, d1) four-state combinations fit one plane.
-        let mut sel64 = Planes::default();
-        let mut d064 = Planes::default();
-        let mut d164 = Planes::default();
-        let mut lane = 0;
-        for s in ALL {
-            for x in ALL {
-                for y in ALL {
-                    sel64 = sel64.with_lane(lane, s);
-                    d064 = d064.with_lane(lane, x);
-                    d164 = d164.with_lane(lane, y);
-                    lane += 1;
-                }
-            }
-        }
-        let expect = batch::mux_k(sel64, d064, d164);
-        for w in 0..WORDS {
-            let got = mux_k(widen(sel64, w), widen(d064, w), widen(d164, w));
-            assert_eq!(got.v[w], expect.v);
-            assert_eq!(got.u[w], expect.u);
-        }
-    }
-
-    #[test]
-    fn lut_fold_matches_recursive_expansion() {
-        // The iterative fold must equal the interpreter's recursive
-        // Shannon expansion for every arity and a spread of tables.
-        for n in 1..=4usize {
-            for init in [0u16, 0xFFFF, 0x6996, 0xAAAA, 0xCAFE, 0x8001, 0x1234] {
-                let mask = if n == 4 {
-                    0xFFFF
-                } else {
-                    (1u16 << (1 << n)) - 1
-                };
-                let init = init & mask;
-                // Pack a rolling window of four-state values per input.
-                let ins64: Vec<Planes> = (0..n)
-                    .map(|i| {
-                        let mut p = Planes::default();
-                        for lane in 0..64 {
-                            p = p.with_lane(lane, ALL[(lane >> i) % 4]);
-                        }
-                        p
+    /// Every combination of `arity` four-state values, input 0 fastest.
+    fn combos(arity: usize) -> Vec<Vec<Logic>> {
+        (0..4usize.pow(arity as u32))
+            .map(|mut c| {
+                (0..arity)
+                    .map(|_| {
+                        let l = ALL[c % 4];
+                        c /= 4;
+                        l
                     })
-                    .collect();
-                let expect = batch::lut_k(n, init, &ins64);
-                for w in 0..WORDS {
-                    let nets: Vec<Planes4> = ins64.iter().map(|&p| widen(p, w)).collect();
-                    let args: Vec<u32> = (0..n as u32).collect();
-                    let got = lut_k(n, init, &nets, &args);
-                    assert_eq!(got.v[w], expect.v, "lut{n} init {init:#06x} word {w}");
-                    assert_eq!(got.u[w], expect.u, "lut{n} init {init:#06x} word {w}");
-                }
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Packs one combination per lane: plane `i` holds input `i`.
+    fn pack(chunk: &[Vec<Logic>], arity: usize) -> Vec<Planes4> {
+        let mut ins = vec![Planes4::default(); arity];
+        for (lane, combo) in chunk.iter().enumerate() {
+            for (i, &l) in combo.iter().enumerate() {
+                ins[i] = ins[i].with_lane(lane, l);
+            }
+        }
+        ins
+    }
+
+    /// Runs one primitive through its real lowering (`lower_prim`,
+    /// then `eval_op` on a one-node program) and checks every lane
+    /// against the scalar `eval_comb`.
+    fn check_kernel(kind: &PrimKind, arity: usize) {
+        let mut lut_init = Vec::new();
+        let (tag, aux) = lower_prim(kind, &mut lut_init);
+        let program = Program {
+            tags: vec![tag],
+            arg_base: vec![0],
+            aux: vec![aux],
+            args: (0..arity as u32).collect(),
+            lut_init,
+            ..Program::default()
+        };
+        for chunk in combos(arity).chunks(COMPILED_MAX_LANES) {
+            let out = eval_op(&program, &pack(chunk, arity), &[], 0);
+            for (lane, combo) in chunk.iter().enumerate() {
+                let expect = kind.eval_comb(combo);
+                assert_eq!(out.lane(lane), expect, "{} on {combo:?}", kind.name());
             }
         }
     }
 
     #[test]
-    fn word_read_matches_interpreted_planes() {
-        let mut word64 = [Planes::splat(Logic::Zero); 16];
-        word64[5] = Planes::splat(Logic::One);
-        word64[9] = Planes::splat(Logic::X);
-        let mut addr64 = [Planes::default(); 4];
-        for (i, a) in addr64.iter_mut().enumerate() {
-            for lane in 0..64 {
-                *a = a.with_lane(lane, ALL[(lane >> i) % 4]);
+    fn kernels_match_scalar_eval_exhaustively() {
+        for kind in [
+            PrimKind::Inv,
+            PrimKind::Buf,
+            PrimKind::Ibuf,
+            PrimKind::Obuf,
+            PrimKind::Bufg,
+        ] {
+            check_kernel(&kind, 1);
+        }
+        for n in 2..=4u8 {
+            check_kernel(&PrimKind::And(n), n as usize);
+            check_kernel(&PrimKind::Or(n), n as usize);
+            check_kernel(&PrimKind::Nand(n), n as usize);
+            check_kernel(&PrimKind::Nor(n), n as usize);
+        }
+        for n in 2..=3u8 {
+            check_kernel(&PrimKind::Xor(n), n as usize);
+        }
+        check_kernel(&PrimKind::Xnor2, 2);
+        check_kernel(&PrimKind::Mux2, 3);
+        check_kernel(&PrimKind::Muxcy, 3);
+        check_kernel(&PrimKind::Xorcy, 2);
+        check_kernel(&PrimKind::MultAnd, 2);
+    }
+
+    #[test]
+    fn lut_kernels_match_scalar_eval() {
+        // A spread of truth tables per arity, including the degenerate
+        // constants and parity (sensitive to every input).
+        for inputs in 1..=4u8 {
+            let mask = (1u32 << (1u32 << inputs)).wrapping_sub(1) as u16;
+            for init in [0u16, 0xFFFF, 0x6996, 0xAAAA, 0xCAFE, 0x8001, 0x1234] {
+                let kind = PrimKind::Lut {
+                    inputs,
+                    init: init & mask,
+                };
+                check_kernel(&kind, inputs as usize);
             }
         }
-        let expect = batch::word_read_k(&addr64, &word64);
-        for w in 0..WORDS {
-            let addr: [Planes4; 4] = std::array::from_fn(|i| widen(addr64[i], w));
-            let word: [Planes4; 16] = std::array::from_fn(|i| widen(word64[i], w));
-            let got = word_read_k(&addr, &word);
-            assert_eq!(got.v[w], expect.v);
-            assert_eq!(got.u[w], expect.u);
+        check_kernel(&PrimKind::Rom16x1 { init: 0x8001 }, 4);
+        check_kernel(&PrimKind::Rom16x1 { init: 0x6996 }, 4);
+    }
+
+    #[test]
+    fn word_read_matches_scalar_semantics() {
+        // All 256 four-state addresses, one per lane, over words whose
+        // bits agree (driven or not), disagree, or hold an X.
+        let mut mixed = [Logic::Zero; 16];
+        mixed[5] = Logic::One;
+        let mut with_x = mixed;
+        with_x[9] = Logic::X;
+        let addrs = combos(4);
+        let addr: [Planes4; 4] = pack(&addrs, 4).try_into().expect("four address planes");
+        for word in [
+            [Logic::One; 16],
+            [Logic::Zero; 16],
+            [Logic::Z; 16],
+            mixed,
+            with_x,
+        ] {
+            let got = word_read_k(&addr, &word.map(Planes4::splat));
+            for (lane, a) in addrs.iter().enumerate() {
+                let expect = word_read(a.iter().copied(), &word);
+                assert_eq!(got.lane(lane), expect, "address {a:?} over {word:?}");
+            }
         }
     }
 

@@ -5,17 +5,14 @@
 //! built-in simulator that the paper embeds in IP evaluation applets:
 //!
 //! - [`Simulator`] — drive inputs, advance the clock, peek ports and
-//!   internal nets, inspect memory contents, reset.
-//! - [`BatchSimulator`] — bit-parallel batch simulation: up to 64
-//!   stimulus vectors per pass, bit-identical to the scalar simulator
-//!   lane for lane.
-//! - [`CompiledSimulator`] — the compiled backend: the levelized
+//!   internal nets, inspect memory contents, reset. It is the reference
+//!   semantics and the only engine that records waveforms.
+//! - [`CompiledSimulator`] — the lane-parallel engine: the levelized
 //!   netlist lowered to flat bytecode and executed over 256-lane
-//!   planes, bit-exact with the interpreted engines.
+//!   planes, bit-exact with the scalar simulator lane for lane.
 //! - [`VectorSweep`] — shard arbitrary stimulus sets into
-//!   lane-parallel batches across a work-stealing thread pool, with
-//!   throughput counters (compiled engine by default, interpreted via
-//!   [`SweepEngine`]).
+//!   lane-parallel compiled batches across a work-stealing thread
+//!   pool, with throughput counters.
 //! - [`Trace`] / [`write_vcd`] — waveform recording and Value Change
 //!   Dump export for conventional viewers.
 //!
@@ -52,7 +49,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod batch;
 mod compile;
 mod error;
 mod exec;
@@ -64,12 +60,11 @@ mod steal;
 mod sweep;
 mod waveform;
 
-pub use batch::{BatchSimulator, MAX_LANES};
 pub use error::SimError;
 pub use exec::{CompiledSimulator, COMPILED_MAX_LANES};
 pub use graph::NetlistGraph;
 pub use simulator::Simulator;
-pub use sweep::{ShardStats, Stimulus, SweepEngine, SweepReport, VectorSweep};
+pub use sweep::{ShardStats, Stimulus, SweepReport, VectorSweep};
 pub use waveform::{write_vcd, Trace};
 
 #[cfg(test)]

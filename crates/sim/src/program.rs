@@ -1,9 +1,9 @@
 //! Lowering of a compiled netlist into flat, cache-friendly bytecode.
 //!
-//! The interpreted engines walk `Vec<EvalNode>` — every node carries a
+//! The scalar simulator walks `Vec<EvalNode>` — every node carries a
 //! heap-allocated `Vec<NetId>` of inputs and a `PrimKind` enum that the
-//! hot loop re-dispatches on, including a *recursive* Shannon
-//! expansion per LUT evaluation. A [`Program`] removes all of that:
+//! hot loop re-dispatches on, gathering a fresh input `Vec` per
+//! evaluation. A [`Program`] removes all of that:
 //!
 //! - **Struct-of-arrays node storage.** One contiguous array per field
 //!   (`tags`, `outs`, `arg_base`, `aux`), with every node's input
@@ -13,8 +13,8 @@
 //!   `Vec<NetId>`, and no string.
 //! - **LUT truth tables in one contiguous array.** Each `LutN` node's
 //!   `aux` indexes `lut_init`; evaluation is an iterative bottom-up
-//!   mux tree (bit-exact with the interpreter's recursive cofactor
-//!   analysis, which computes the same operation tree).
+//!   mux tree (bit-exact with the scalar cofactor analysis of
+//!   `PrimKind::eval_comb`).
 //! - **Pre-split sequential programs.** Flip-flops, SRL16s and RAM16s
 //!   are lowered into separate flat op lists with resolved net and
 //!   state-slot indices, so the clock-edge loop is three tight passes
@@ -147,6 +147,7 @@ pub(crate) enum StateSlot {
 /// A lowered, immutable simulation program. See the module docs for
 /// the layout rationale.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Default))]
 pub(crate) struct Program {
     pub net_count: usize,
     pub levelized: bool,
@@ -189,8 +190,7 @@ pub(crate) struct Program {
 
 impl Program {
     /// Lowers a compiled netlist into bytecode, sharing nothing with
-    /// the source (`compiled` stays usable for the interpreted
-    /// engines).
+    /// the source.
     pub(crate) fn lower(compiled: &Compiled) -> Arc<Program> {
         // Sequential programs first: word reads in the combinational
         // network reference word-state indices assigned here.
@@ -346,7 +346,7 @@ impl OpTag {
 
 /// Maps a combinational primitive to its tag, interning LUT truth
 /// tables into the contiguous `lut_init` array.
-fn lower_prim(kind: &PrimKind, lut_init: &mut Vec<u16>) -> (OpTag, u32) {
+pub(crate) fn lower_prim(kind: &PrimKind, lut_init: &mut Vec<u16>) -> (OpTag, u32) {
     let mut lut = |init: u16| {
         let idx = lut_init.len() as u32;
         lut_init.push(init);

@@ -280,15 +280,19 @@ impl Simulator {
     /// path (the JHDL memory viewer).
     #[must_use]
     pub fn memory(&self, instance_path: &str) -> Option<LogicVec> {
-        let idx = self
-            .compiled
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)?;
+        let idx = self.state_index(instance_path)?;
         match &self.states[idx] {
             StateCell::Word(word) => Some(word.iter().copied().collect()),
             StateCell::Bit(_) => None,
         }
+    }
+
+    /// Index of the state element at `instance_path`.
+    fn state_index(&self, instance_path: &str) -> Option<usize> {
+        self.compiled
+            .state_paths
+            .iter()
+            .position(|p| p == instance_path)
     }
 
     /// Lists the instance paths of all stateful elements (flip-flops,
@@ -473,26 +477,7 @@ impl Simulator {
                 let StateCell::Word(word) = &self.states[*state] else {
                     return Logic::X;
                 };
-                let mut idx = 0usize;
-                let mut unknown = false;
-                for (i, n) in node.inputs.iter().enumerate() {
-                    match self.nets[n.index()].to_bool() {
-                        Some(true) => idx |= 1 << i,
-                        Some(false) => {}
-                        None => unknown = true,
-                    }
-                }
-                if unknown {
-                    // If every word bit agrees the address is irrelevant.
-                    let first = word[0];
-                    if first.is_driven() && word.iter().all(|&b| b == first) {
-                        first
-                    } else {
-                        Logic::X
-                    }
-                } else {
-                    word[idx]
-                }
+                word_read(node.inputs.iter().map(|n| self.nets[n.index()]), word)
             }
         }
     }
@@ -581,15 +566,28 @@ impl Simulator {
     /// viewer's register pane).
     #[must_use]
     pub fn ff_state(&self, instance_path: &str) -> Option<Logic> {
-        let idx = self
-            .compiled
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)?;
+        let idx = self.state_index(instance_path)?;
         match self.states[idx] {
             StateCell::Bit(v) => Some(v),
             StateCell::Word(_) => None,
         }
+    }
+
+    /// Forces a flip-flop's current state by instance path
+    /// (counterexample-replay back door, like [`Simulator::set_memory`]).
+    ///
+    /// Returns `false` when the path names no flip-flop.
+    pub fn set_ff(&mut self, instance_path: &str, value: Logic) -> bool {
+        let Some(idx) = self.state_index(instance_path) else {
+            return false;
+        };
+        let StateCell::Bit(bit) = &mut self.states[idx] else {
+            return false;
+        };
+        *bit = value;
+        self.drive_state_outputs();
+        self.dirty = true;
+        true
     }
 
     /// Overwrites the 16-bit contents of a shift register or RAM by
@@ -597,12 +595,7 @@ impl Simulator {
     ///
     /// Returns `false` when the path names no word-state element.
     pub fn set_memory(&mut self, instance_path: &str, value: &LogicVec) -> bool {
-        let Some(idx) = self
-            .compiled
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)
-        else {
+        let Some(idx) = self.state_index(instance_path) else {
             return false;
         };
         let StateCell::Word(word) = &mut self.states[idx] else {
@@ -613,5 +606,32 @@ impl Simulator {
         }
         self.dirty = true;
         true
+    }
+}
+
+/// Asynchronous 16×1 word read (SRL16 tap, RAM16 read) with a
+/// four-state address, LSB first. A known address selects its word
+/// bit; any unknown address bit reads the common value when all 16
+/// word bits are driven and agree, else `X`.
+pub(crate) fn word_read(addr: impl IntoIterator<Item = Logic>, word: &[Logic; 16]) -> Logic {
+    let mut idx = 0usize;
+    let mut unknown = false;
+    for (i, a) in addr.into_iter().enumerate() {
+        match a.to_bool() {
+            Some(true) => idx |= 1 << i,
+            Some(false) => {}
+            None => unknown = true,
+        }
+    }
+    if unknown {
+        // If every word bit agrees the address is irrelevant.
+        let first = word[0];
+        if first.is_driven() && word.iter().all(|&b| b == first) {
+            first
+        } else {
+            Logic::X
+        }
+    } else {
+        word[idx]
     }
 }

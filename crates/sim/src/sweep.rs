@@ -1,21 +1,18 @@
-//! Sharded stimulus sweeps over the batch engines.
+//! Sharded stimulus sweeps over the compiled engine.
 //!
 //! A [`VectorSweep`] runs an arbitrary number of stimulus vectors
-//! through a circuit by packing them into lane-parallel shards —
-//! 256-lane [`CompiledSimulator`](crate::CompiledSimulator) shards by
-//! default, or 64-lane interpreted
-//! [`BatchSimulator`](crate::BatchSimulator) shards via
-//! [`SweepEngine::Interpreted`] — optionally spreading shards across
-//! OS threads with a work-stealing scheduler (the default `threads`
-//! cargo feature; sequential otherwise), and reporting per-shard and
-//! overall throughput.
+//! through a circuit by packing them into 256-lane
+//! [`CompiledSimulator`](crate::CompiledSimulator) shards, optionally
+//! spreading shards across OS threads with a work-stealing scheduler
+//! (the default `threads` cargo feature; sequential otherwise), and
+//! reporting per-shard and overall throughput.
 //!
-//! The circuit is compiled (and, for the compiled engine, lowered to
-//! bytecode) exactly once; every shard shares the program and pays
-//! only a plane-arena allocation. A shard holds exactly as many lanes
-//! as it has vectors, so a stimulus count that is not a multiple of
-//! the lane width never pads with X lanes — partial planes are masked
-//! and the throughput stats count real vectors only.
+//! The circuit is compiled and lowered to bytecode exactly once;
+//! every shard shares the program and pays only a plane-arena
+//! allocation. A shard holds exactly as many lanes as it has vectors,
+//! so a stimulus count that is not a multiple of the lane width never
+//! pads with X lanes — partial planes are masked and the throughput
+//! stats count real vectors only.
 //!
 //! Every vector is simulated from power-on: inputs applied, `cycles`
 //! clock edges, outputs sampled — the natural shape for exhaustive
@@ -55,7 +52,7 @@ use std::time::{Duration, Instant};
 
 use ipd_hdl::{Circuit, FlatNetlist, LogicVec, PortDir};
 
-use crate::batch::{BatchSimulator, MAX_LANES};
+use crate::compile::compile;
 use crate::error::SimError;
 use crate::exec::{CompiledSimulator, COMPILED_MAX_LANES};
 use crate::program::Program;
@@ -65,21 +62,6 @@ pub type Stimulus = Vec<(String, LogicVec)>;
 
 /// Per-vector output rows produced by one shard.
 type ShardOutputs = Vec<Vec<(String, LogicVec)>>;
-
-/// Which execution engine a [`VectorSweep`] runs its shards on.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SweepEngine {
-    /// The 256-lane compiled bytecode engine
-    /// ([`CompiledSimulator`](crate::CompiledSimulator)) — the
-    /// default.
-    #[default]
-    Compiled,
-    /// The 64-lane interpreted engine
-    /// ([`BatchSimulator`](crate::BatchSimulator)); useful as a
-    /// differential oracle and for apples-to-apples comparisons with
-    /// pre-compiled-backend measurements.
-    Interpreted,
-}
 
 /// Timing for one lane-parallel shard of a sweep.
 #[derive(Debug, Clone)]
@@ -135,11 +117,8 @@ impl SweepReport {
 /// work stealing.
 #[derive(Debug, Clone)]
 pub struct VectorSweep {
-    /// Compiled model holder; interpreted shards clone from it.
-    proto: BatchSimulator,
-    /// Lowered bytecode shared by compiled shards.
+    /// Lowered bytecode shared by every shard.
     program: Arc<Program>,
-    engine: SweepEngine,
     cycles: u64,
     threads: usize,
 }
@@ -149,7 +128,7 @@ impl VectorSweep {
     ///
     /// # Errors
     ///
-    /// As for [`BatchSimulator::new`].
+    /// As for [`CompiledSimulator::new`](crate::CompiledSimulator::new).
     pub fn new(circuit: &Circuit) -> Result<Self, SimError> {
         let flat = FlatNetlist::build(circuit)?;
         Self::from_flat(&flat, None)
@@ -159,7 +138,7 @@ impl VectorSweep {
     ///
     /// # Errors
     ///
-    /// As for [`BatchSimulator::new`].
+    /// As for [`CompiledSimulator::new`](crate::CompiledSimulator::new).
     pub fn with_clock(circuit: &Circuit, clock_port: &str) -> Result<Self, SimError> {
         let flat = FlatNetlist::build(circuit)?;
         Self::from_flat(&flat, Some(clock_port))
@@ -169,14 +148,10 @@ impl VectorSweep {
     ///
     /// # Errors
     ///
-    /// As for [`BatchSimulator::new`].
+    /// As for [`CompiledSimulator::new`](crate::CompiledSimulator::new).
     pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        let proto = BatchSimulator::from_flat(flat, clock_port, MAX_LANES)?;
-        let program = Program::lower(proto.compiled());
         Ok(VectorSweep {
-            proto,
-            program,
-            engine: SweepEngine::default(),
+            program: Program::lower(&compile(flat, clock_port)?),
             cycles: 0,
             threads: default_threads(),
         })
@@ -199,22 +174,6 @@ impl VectorSweep {
         self
     }
 
-    /// Selects the execution engine (default:
-    /// [`SweepEngine::Compiled`]).
-    #[must_use]
-    pub fn engine(mut self, engine: SweepEngine) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Lanes per shard for the configured engine.
-    fn lane_width(&self) -> usize {
-        match self.engine {
-            SweepEngine::Compiled => COMPILED_MAX_LANES,
-            SweepEngine::Interpreted => MAX_LANES,
-        }
-    }
-
     /// Runs every stimulus vector and collects outputs plus
     /// throughput counters.
     ///
@@ -223,7 +182,7 @@ impl VectorSweep {
     /// Propagates the first set/cycle/peek error from any shard.
     pub fn run(&self, stimuli: &[Stimulus]) -> Result<SweepReport, SimError> {
         let start = Instant::now();
-        let jobs: Vec<&[Stimulus]> = stimuli.chunks(self.lane_width()).collect();
+        let jobs: Vec<&[Stimulus]> = stimuli.chunks(COMPILED_MAX_LANES).collect();
 
         #[cfg(feature = "threads")]
         let (results, steals) = {
@@ -258,48 +217,25 @@ impl VectorSweep {
         })
     }
 
-    /// Runs one shard with exactly `chunk.len()` lanes on the
-    /// configured engine.
+    /// Runs one shard with exactly `chunk.len()` lanes.
     fn run_shard(
         &self,
         shard: usize,
         chunk: &[Stimulus],
     ) -> Result<(ShardOutputs, ShardStats), SimError> {
         let t0 = Instant::now();
-        let (out_ports, per_port) = match self.engine {
-            SweepEngine::Compiled => {
-                let mut sim =
-                    CompiledSimulator::from_program(Arc::clone(&self.program), chunk.len())?;
-                for (lane, stim) in chunk.iter().enumerate() {
-                    for (port, value) in stim {
-                        sim.set_lane(port, lane, value)?;
-                    }
-                }
-                sim.cycle(self.cycles)?;
-                let out_ports = output_ports(&sim.ports());
-                let mut per_port = Vec::with_capacity(out_ports.len());
-                for port in &out_ports {
-                    per_port.push(sim.peek_lanes(port)?);
-                }
-                (out_ports, per_port)
+        let mut sim = CompiledSimulator::from_program(Arc::clone(&self.program), chunk.len())?;
+        for (lane, stim) in chunk.iter().enumerate() {
+            for (port, value) in stim {
+                sim.set_lane(port, lane, value)?;
             }
-            SweepEngine::Interpreted => {
-                let mut sim =
-                    BatchSimulator::from_compiled(self.proto.compiled().clone(), chunk.len())?;
-                for (lane, stim) in chunk.iter().enumerate() {
-                    for (port, value) in stim {
-                        sim.set_lane(port, lane, value)?;
-                    }
-                }
-                sim.cycle(self.cycles)?;
-                let out_ports = output_ports(&sim.ports());
-                let mut per_port = Vec::with_capacity(out_ports.len());
-                for port in &out_ports {
-                    per_port.push(sim.peek_lanes(port)?);
-                }
-                (out_ports, per_port)
-            }
-        };
+        }
+        sim.cycle(self.cycles)?;
+        let out_ports = output_ports(&sim.ports());
+        let mut per_port = Vec::with_capacity(out_ports.len());
+        for port in &out_ports {
+            per_port.push(sim.peek_lanes(port)?);
+        }
         let outputs: Vec<Vec<(String, LogicVec)>> = (0..chunk.len())
             .map(|lane| {
                 out_ports

@@ -1,15 +1,12 @@
 //! Differential testing of the compiled bytecode engine: every lane of
 //! a `CompiledSimulator` must be bit-identical (including `X`/`Z`
-//! propagation) to the interpreted `BatchSimulator` and to a scalar
-//! `Simulator` run of the same stimulus, cycle for cycle and net for
-//! net — across the full 256-lane plane width, all stateful
-//! primitives, and comb-loop relaxation mode.
+//! propagation) to an independently built scalar `Simulator` run of
+//! the same stimulus, cycle for cycle and net for net — across the
+//! full 256-lane plane width, all stateful primitives, comb-loop
+//! relaxation mode and sharded `VectorSweep` runs.
 
 use ipd_hdl::{Circuit, Logic, LogicVec, PortSpec, Signal};
-use ipd_sim::{
-    BatchSimulator, CompiledSimulator, SimError, Simulator, SweepEngine, VectorSweep,
-    COMPILED_MAX_LANES, MAX_LANES,
-};
+use ipd_sim::{CompiledSimulator, SimError, Simulator, VectorSweep, COMPILED_MAX_LANES};
 use ipd_techlib::LogicCtx;
 use ipd_testutil::{check_n, XorShift64};
 
@@ -66,25 +63,19 @@ fn random_dag(rng: &mut XorShift64, inputs: usize, max_ops: usize) -> (Circuit, 
 }
 
 /// Random four-state stimulus on combinational DAGs: every lane of the
-/// compiled engine equals both the scalar simulator and (for shared
-/// lanes) the interpreted batch engine, on the output and on every
-/// internal net.
+/// compiled engine equals the scalar simulator, on the output and on
+/// every internal net.
 #[test]
-fn comb_dags_match_scalar_and_interpreted_on_every_net() {
+fn comb_dags_match_scalar_on_every_net() {
     check_n("comb_dags_compiled", 16, |rng| {
         let inputs = 1 + rng.index(7);
         let (circuit, ops) = random_dag(rng, inputs, 24);
-        // Bias toward lane counts beyond the interpreted engine's 64.
         let lanes = 1 + rng.index(COMPILED_MAX_LANES);
         let mut compiled = CompiledSimulator::new(&circuit, lanes).expect("compiled");
-        let mut batch = BatchSimulator::new(&circuit, lanes.min(MAX_LANES)).expect("batch compile");
         let mut scalars: Vec<Simulator> = Vec::new();
         for lane in 0..lanes {
             let stim = any_vec(rng, inputs);
             compiled.set_lane("a", lane, &stim).expect("compiled set");
-            if lane < MAX_LANES {
-                batch.set_lane("a", lane, &stim).expect("batch set");
-            }
             let mut s = Simulator::new(&circuit).expect("scalar compile");
             s.set("a", stim).expect("scalar set");
             scalars.push(s);
@@ -97,19 +88,11 @@ fn comb_dags_match_scalar_and_interpreted_on_every_net() {
             );
             for k in 0..ops {
                 let net = format!("dag/g{k}");
-                let got = compiled.peek_net_lane(&net, lane).expect("compiled net");
                 assert_eq!(
-                    got,
+                    compiled.peek_net_lane(&net, lane).expect("compiled net"),
                     scalar.peek_net(&net).expect("scalar net"),
                     "net {net} lane {lane}"
                 );
-                if lane < MAX_LANES {
-                    assert_eq!(
-                        got,
-                        batch.peek_net_lane(&net, lane).expect("batch net"),
-                        "net {net} lane {lane} vs interpreted"
-                    );
-                }
             }
         }
     });
@@ -294,7 +277,8 @@ fn relaxation_mode_matches_scalar() {
 }
 
 /// A buffered inverter ring settles to X under pessimistic four-state
-/// relaxation (the power-on X is a fixpoint), as in the interpreter.
+/// relaxation (the power-on X is a fixpoint), as in the scalar
+/// simulator.
 #[test]
 fn ring_settles_to_x() {
     let mut c = Circuit::new("osc");
@@ -310,9 +294,27 @@ fn ring_settles_to_x() {
     }
 }
 
-/// The sweep's compiled and interpreted engines agree vector-for-
-/// vector on random four-state stimulus, and the compiled engine's
-/// report covers every vector.
+/// Runs one stimulus vector on a fresh scalar simulator for `cycles`
+/// edges and returns the value of every output the sweep reported.
+fn scalar_outputs(
+    circuit: &Circuit,
+    stim: &[(String, LogicVec)],
+    cycles: u64,
+    ports: &[(String, LogicVec)],
+) -> Vec<(String, LogicVec)> {
+    let mut scalar = Simulator::new(circuit).expect("scalar");
+    for (port, value) in stim {
+        scalar.set(port, value.clone()).expect("set");
+    }
+    scalar.cycle(cycles).expect("cycle");
+    ports
+        .iter()
+        .map(|(port, _)| (port.clone(), scalar.peek(port).expect("peek")))
+        .collect()
+}
+
+/// The sharded sweep and the scalar simulator agree vector-for-vector
+/// on random four-state stimulus, and the report covers every vector.
 #[test]
 fn sweep_engines_agree_on_random_stimulus() {
     let circuit = stateful_circuit();
@@ -326,20 +328,124 @@ fn sweep_engines_agree_on_random_stimulus() {
                     .collect()
             })
             .collect();
-        let sweep = VectorSweep::new(&circuit).expect("sweep").cycles(2);
-        let fast = sweep.run(&stimuli).expect("compiled run");
-        let slow = sweep
-            .clone()
-            .engine(SweepEngine::Interpreted)
+        let report = VectorSweep::new(&circuit)
+            .expect("sweep")
+            .cycles(2)
             .run(&stimuli)
-            .expect("interpreted run");
-        assert_eq!(fast.outputs, slow.outputs, "count {count}");
-        assert_eq!(fast.total_vectors(), count);
+            .expect("sweep run");
+        assert_eq!(report.total_vectors(), count);
+        for (k, (stim, row)) in stimuli.iter().zip(&report.outputs).enumerate() {
+            assert_eq!(
+                row,
+                &scalar_outputs(&circuit, stim, 2, row),
+                "vector {k} of {count}"
+            );
+        }
     });
 }
 
+/// Lane-edge sweep sizes: counts straddling the 256-lane plane width
+/// all produce scalar-identical outputs, the right shard structure,
+/// and exact (never padded) per-shard vector counts.
+#[test]
+fn sweep_lane_edges_match_scalar() {
+    let circuit = stateful_circuit();
+    let width = COMPILED_MAX_LANES;
+    for count in [1usize, 255, 256, 257, 513] {
+        let stimuli: Vec<Vec<(String, LogicVec)>> = (0..count)
+            .map(|k| {
+                vec![
+                    ("ce".to_owned(), LogicVec::from_u64(1, 1)),
+                    ("clr".to_owned(), LogicVec::from_u64(0, 1)),
+                    (
+                        "we".to_owned(),
+                        LogicVec::from_u64(u64::from(k % 2 == 0), 1),
+                    ),
+                    ("d".to_owned(), LogicVec::from_u64(k as u64 & 0xF, 4)),
+                    ("a".to_owned(), LogicVec::from_u64((k as u64 >> 1) & 0xF, 4)),
+                ]
+            })
+            .collect();
+        let report = VectorSweep::new(&circuit)
+            .expect("sweep compile")
+            .cycles(2)
+            .run(&stimuli)
+            .expect("sweep run");
+        assert_eq!(report.total_vectors(), count, "count {count}");
+        assert_eq!(report.shards.len(), count.div_ceil(width), "shards {count}");
+        // Every shard holds exactly the vectors it simulated; the
+        // final partial shard is not padded to the plane width.
+        for (s, stats) in report.shards.iter().enumerate() {
+            let expect = (count - s * width).min(width);
+            assert_eq!(stats.vectors, expect, "shard {s} count {count}");
+        }
+        assert!(report.vectors_per_sec() > 0.0);
+        // Scalar cross-check on a sample of vectors that includes
+        // both lanes of every shard edge.
+        for k in (0..count)
+            .step_by(13)
+            .chain([0, 254, 255, 256, 257, 511, 512])
+        {
+            if k < count {
+                assert_eq!(
+                    report.outputs[k],
+                    scalar_outputs(&circuit, &stimuli[k], 2, &report.outputs[k]),
+                    "vector {k} (count {count})"
+                );
+            }
+        }
+    }
+}
+
+/// The scalar and compiled state back doors agree: forcing the same
+/// flip-flop to the same value reads back the same state and drives
+/// the same outputs, and both refuse unknown and word-state paths.
+#[test]
+fn set_ff_agrees_with_compiled_set_ff_lane() {
+    let circuit = stateful_circuit();
+    let mut scalar = Simulator::new(&circuit).expect("scalar");
+    let mut compiled = CompiledSimulator::new(&circuit, 3).expect("compiled");
+    let (ff_paths, word_paths): (Vec<String>, Vec<String>) = scalar
+        .state_elements()
+        .iter()
+        .cloned()
+        .partition(|p| scalar.ff_state(p).is_some());
+    assert_eq!((ff_paths.len(), word_paths.len()), (4, 2));
+    for (k, path) in ff_paths.iter().enumerate() {
+        let value = [Logic::One, Logic::Zero, Logic::X, Logic::One][k];
+        assert!(scalar.set_ff(path, value), "scalar refused {path}");
+        assert!(
+            compiled.set_ff_lane(path, 2, value),
+            "compiled refused {path}"
+        );
+        assert_eq!(scalar.ff_state(path), Some(value), "{path}");
+        assert_eq!(compiled.ff_state_lane(path, 2), Some(value), "{path}");
+    }
+    assert_eq!(
+        compiled.peek_lane("q", 2).expect("compiled q"),
+        scalar.peek("q").expect("scalar q")
+    );
+    // Lanes that were not forced keep their power-on state.
+    assert_ne!(
+        compiled.peek_lane("q", 0).expect("compiled q"),
+        scalar.peek("q").expect("scalar q")
+    );
+    for path in &word_paths {
+        assert!(
+            !scalar.set_ff(path, Logic::One),
+            "scalar forced word {path}"
+        );
+        assert!(
+            !compiled.set_ff_lane(path, 0, Logic::One),
+            "compiled forced word {path}"
+        );
+    }
+    assert!(!scalar.set_ff("stateful/no_such_ff", Logic::One));
+    assert!(!compiled.set_ff_lane("stateful/no_such_ff", 0, Logic::One));
+}
+
 /// Out-of-range lanes and invalid lane counts are rejected, not
-/// wrapped, with the same errors as the interpreted engine.
+/// wrapped.
 #[test]
 fn lane_bounds_are_enforced() {
     let mut c = Circuit::new("buf");

@@ -6,14 +6,16 @@
 //! the applet can prove the delivered netlist against its golden model
 //! by sweeping all of them. The sweep lowers the netlist to bytecode
 //! once and packs all 256 stimulus vectors into a single 256-lane
-//! compiled pass; the interpreted 64-lane engine runs the same sweep
-//! for comparison.
+//! compiled pass; the scalar simulator runs the same vectors one at a
+//! time as the independent cross-check and for comparison.
 //!
 //! Run with: `cargo run --example batch_sweep`
 
+use std::time::Instant;
+
 use ipd::hdl::Circuit;
 use ipd::modgen::KcmMultiplier;
-use ipd::sim::{SweepEngine, VectorSweep};
+use ipd::sim::{Simulator, VectorSweep};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kcm = KcmMultiplier::new(-56, 8, 12).signed(true).pipelined(true);
@@ -32,19 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stimuli = kcm.sweep_stimuli();
     let golden = kcm.expected_products();
 
-    let sweep = VectorSweep::with_clock(&circuit, "clk")?.cycles(u64::from(kcm.latency()));
+    let cycles = u64::from(kcm.latency());
+    let sweep = VectorSweep::with_clock(&circuit, "clk")?.cycles(cycles);
     let report = sweep.run(&stimuli)?;
-
-    // The same sweep on the interpreted 64-lane engine: the proof
-    // must not depend on which engine ran it.
-    let interpreted = sweep
-        .clone()
-        .engine(SweepEngine::Interpreted)
-        .run(&stimuli)?;
-    assert_eq!(
-        report.outputs, interpreted.outputs,
-        "engines must agree on every vector"
-    );
 
     println!("\n== sweep (compiled engine, 256 lanes/shard) ==");
     for stats in &report.shards {
@@ -63,25 +55,42 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.vectors_per_sec()
     );
 
+    // The same vectors one at a time on the scalar simulator, the
+    // independent cross-check: the proof must not depend on which
+    // engine ran it.
+    let mut scalar = Simulator::with_clock(&circuit, "clk")?;
+    let start = Instant::now();
+    for (stim, row) in stimuli.iter().zip(&report.outputs) {
+        scalar.reset();
+        for (port, value) in stim {
+            scalar.set(port, value.clone())?;
+        }
+        scalar.cycle(cycles)?;
+        for (port, value) in row {
+            assert_eq!(
+                &scalar.peek(port)?,
+                value,
+                "engines must agree on every vector"
+            );
+        }
+    }
+    let scalar_rate = stimuli.len() as f64 / start.elapsed().as_secs_f64();
+
     // Engine-vs-engine: one cold 256-vector pass is dominated by
     // shard setup, so time warm repeated sweeps, single-threaded.
     const REPEATS: u32 = 20;
-    let mut rates = Vec::new();
-    for engine in [SweepEngine::Compiled, SweepEngine::Interpreted] {
-        let runner = sweep.clone().engine(engine).threads(1);
-        runner.run(&stimuli)?; // warm up
-        let start = std::time::Instant::now();
-        for _ in 0..REPEATS {
-            runner.run(&stimuli)?;
-        }
-        let rate =
-            f64::from(REPEATS) * stimuli.len() as f64 / start.elapsed().as_secs_f64().max(1e-9);
-        println!("  {engine:?} engine (warm, 1 thread): {rate:8.0} vectors/s");
-        rates.push(rate);
+    let runner = sweep.clone().threads(1);
+    runner.run(&stimuli)?; // warm up
+    let start = Instant::now();
+    for _ in 0..REPEATS {
+        runner.run(&stimuli)?;
     }
+    let compiled = f64::from(REPEATS) * stimuli.len() as f64 / start.elapsed().as_secs_f64();
+    println!("  compiled engine (warm, 1 thread): {compiled:8.0} vectors/s");
+    println!("  scalar simulator (checking)     : {scalar_rate:8.0} vectors/s");
     println!(
-        "  compiled is {:.1}x the interpreted engine on this sweep",
-        rates[0] / rates[1].max(1e-9)
+        "  compiled is {:.1}x the scalar simulator on this sweep",
+        compiled / scalar_rate
     );
 
     // Check every product against the golden model.
