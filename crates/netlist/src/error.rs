@@ -17,6 +17,13 @@ pub enum NetlistError {
         /// Description of the problem.
         message: String,
     },
+    /// An EDIF cell instantiates itself, directly or through other
+    /// cells, so its hierarchy never bottoms out.
+    InstantiationCycle {
+        /// The cells on the cycle, starting and ending with the same
+        /// cell.
+        cells: Vec<String>,
+    },
 }
 
 impl fmt::Display for NetlistError {
@@ -27,6 +34,9 @@ impl fmt::Display for NetlistError {
             NetlistError::ParseEdif { offset, message } => {
                 write!(f, "EDIF parse error at byte {offset}: {message}")
             }
+            NetlistError::InstantiationCycle { cells } => {
+                write!(f, "EDIF cell instantiates itself: {}", cells.join(" -> "))
+            }
         }
     }
 }
@@ -36,7 +46,7 @@ impl std::error::Error for NetlistError {
         match self {
             NetlistError::Hdl(e) => Some(e),
             NetlistError::Io(e) => Some(e),
-            NetlistError::ParseEdif { .. } => None,
+            NetlistError::ParseEdif { .. } | NetlistError::InstantiationCycle { .. } => None,
         }
     }
 }

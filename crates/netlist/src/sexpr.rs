@@ -8,6 +8,11 @@ use std::fmt;
 
 use crate::error::NetlistError;
 
+/// Deepest list nesting [`SExpr::parse`] accepts. Generated EDIF nests
+/// about a dozen levels; the cap keeps hostile input from exhausting
+/// the stack of the recursive parser (and of the tree's drop).
+const MAX_DEPTH: usize = 256;
+
 /// One node of an s-expression tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SExpr {
@@ -25,11 +30,13 @@ impl SExpr {
     /// # Errors
     ///
     /// Returns [`NetlistError::ParseEdif`] on malformed input: unmatched
-    /// parentheses, unterminated strings, or trailing garbage.
+    /// parentheses, unterminated strings, trailing garbage, or lists
+    /// nested more than 256 deep.
     pub fn parse(text: &str) -> Result<SExpr, NetlistError> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws();
         let expr = parser.parse_expr()?;
@@ -134,6 +141,8 @@ impl fmt::Display for SExpr {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Lists currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -154,6 +163,10 @@ impl Parser<'_> {
         match self.bytes.get(self.pos) {
             None => Err(self.error("unexpected end of input")),
             Some(b'(') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("lists nested too deeply"));
+                }
+                self.depth += 1;
                 self.pos += 1;
                 let mut items = Vec::new();
                 loop {
@@ -162,6 +175,7 @@ impl Parser<'_> {
                         None => return Err(self.error("unclosed list")),
                         Some(b')') => {
                             self.pos += 1;
+                            self.depth -= 1;
                             return Ok(SExpr::List(items));
                         }
                         Some(_) => items.push(self.parse_expr()?),
@@ -204,6 +218,18 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped() {
+        let at_cap = format!("{}{}", "(".repeat(MAX_DEPTH), ")".repeat(MAX_DEPTH));
+        assert!(SExpr::parse(&at_cap).is_ok());
+        let hostile = "(".repeat(200_000);
+        let err = SExpr::parse(&hostile).expect_err("too deep");
+        assert!(
+            matches!(err, NetlistError::ParseEdif { offset, .. } if offset == MAX_DEPTH),
+            "{err}"
+        );
+    }
 
     #[test]
     fn parses_nested_lists() {

@@ -54,8 +54,8 @@ use std::sync::Arc;
 
 use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, PortDir};
 
-use crate::compile::compile;
 use crate::error::SimError;
+use crate::graph::NetlistGraph;
 use crate::program::{OpTag, Program, StateSlot, NO_NET};
 
 /// Maximum number of lanes a [`CompiledSimulator`] can hold (one bit
@@ -376,8 +376,8 @@ impl CompiledSimulator {
         clock_port: Option<&str>,
         lanes: usize,
     ) -> Result<Self, SimError> {
-        let compiled = compile(flat, clock_port)?;
-        Self::from_program(Program::lower(&compiled), lanes)
+        let graph = NetlistGraph::build(flat, clock_port)?;
+        Self::from_program(Program::lower(&graph), lanes)
     }
 
     /// Instantiates a simulator over an already-lowered program

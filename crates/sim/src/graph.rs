@@ -1,19 +1,21 @@
-//! Public cone/levelization helpers over a flattened netlist.
+//! The levelized structural model of a flattened netlist.
 //!
-//! The simulator's compile step already does the hard structural work
-//! every netlist-level analysis needs: clock-net discovery through
-//! buffer trees, single-driver checking, separation of combinational
+//! [`NetlistGraph::build`] does the structural work every
+//! netlist-level engine needs: clock-net discovery through buffer
+//! trees, single-driver checking, separation of combinational
 //! evaluation nodes from sequential updates, and Kahn levelization of
-//! the combinational network. This module exposes that result as a
-//! standalone data structure so other engines — notably the
-//! `ipd-verify` formal equivalence checker — share the exact same
-//! levelizer (and therefore the exact same structural interpretation
-//! of a design) as the three simulation backends.
+//! the combinational network. It is the one model of a design in this
+//! crate: the scalar [`Simulator`](crate::Simulator) executes it
+//! directly, the lane-parallel engine lowers it to bytecode, and the
+//! `ipd-verify` formal checker reads it, so all of them share the
+//! exact same structural interpretation of a design.
 
-use ipd_hdl::{FlatNetlist, Logic, NetId, PortDir};
-use ipd_techlib::{FfControl, PrimKind};
+use std::collections::HashMap;
+use std::sync::Arc;
 
-use crate::compile::{compile, EvalFunc, SeqUpdate};
+use ipd_hdl::{FlatKind, FlatNetlist, Logic, NetId, PortDir};
+use ipd_techlib::{FfControl, PrimClass, PrimKind};
+
 use crate::error::SimError;
 
 /// How one combinational node computes its output net.
@@ -24,7 +26,8 @@ pub enum CombKind {
     /// Asynchronous tap read of shift register `seq` (inputs are the
     /// four address nets, LSB first).
     SrlRead {
-        /// Index into [`NetlistGraph::seq`].
+        /// Index into [`NetlistGraph::seq`], which is also the
+        /// element's state index in both simulators.
         seq: usize,
     },
     /// Asynchronous word read of RAM `seq` (inputs are the four
@@ -120,9 +123,9 @@ pub struct PortNets {
     pub nets: Vec<NetId>,
 }
 
-/// The levelized structural view of a flattened design: the exact
-/// graph all three simulation engines execute, exposed for static
-/// analyses that must agree with them.
+/// The levelized structural model of a flattened design: the graph
+/// both simulation engines execute, exposed for static analyses that
+/// must agree with them.
 #[derive(Debug, Clone)]
 pub struct NetlistGraph {
     /// Number of single-bit nets.
@@ -148,6 +151,9 @@ pub struct NetlistGraph {
     /// Nets carrying the global clock (the clock port plus everything
     /// reached through clock buffers).
     pub clock_nets: Vec<NetId>,
+    /// Net lookup by name, shared with every engine built from the
+    /// graph.
+    pub(crate) name_to_net: Arc<HashMap<String, NetId>>,
 }
 
 impl NetlistGraph {
@@ -161,93 +167,220 @@ impl NetlistGraph {
     /// As for simulator construction: inout ports, unknown
     /// primitives, multiple drivers and gated clocks are rejected.
     pub fn build(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        let compiled = compile(flat, clock_port)?;
-        // Join SRL/RAM read nodes to their sequential element: compile
-        // numbers both through the same state index.
-        let eval_order = compiled
-            .eval_order
+        let net_count = flat.net_count();
+        let net_names: Vec<String> = flat.nets().iter().map(|n| n.name.clone()).collect();
+        let name_to_net = net_names
             .iter()
-            .map(|n| CombEval {
-                kind: match n.func {
-                    EvalFunc::Prim(kind) => CombKind::Prim(kind),
-                    EvalFunc::SrlRead { state } => CombKind::SrlRead { seq: state },
-                    EvalFunc::RamRead { state } => CombKind::RamRead { seq: state },
-                },
-                inputs: n.inputs.clone(),
-                output: n.output,
-            })
+            .enumerate()
+            .map(|(i, name)| (name.clone(), NetId::from_index(i)))
             .collect();
-        let seq = compiled
-            .seq
-            .iter()
-            .map(|u| {
-                let (state, kind) = match u {
-                    SeqUpdate::Ff {
-                        state,
-                        d,
-                        ce,
-                        control,
-                        init,
-                        q,
-                    } => (
-                        *state,
-                        SeqKind::Ff {
-                            d: *d,
-                            ce: *ce,
-                            control: *control,
-                            init: *init,
-                            q: *q,
-                        },
-                    ),
-                    SeqUpdate::Srl16 { state, d, ce, init } => (
-                        *state,
-                        SeqKind::Srl16 {
-                            d: *d,
-                            ce: *ce,
-                            init: *init,
-                        },
-                    ),
-                    SeqUpdate::Ram16 {
-                        state,
-                        d,
-                        we,
-                        addr,
-                        init,
-                    } => (
-                        *state,
-                        SeqKind::Ram16 {
-                            d: *d,
-                            we: *we,
-                            addr: *addr,
-                            init: *init,
-                        },
-                    ),
-                };
-                SeqElem {
-                    path: compiled.state_paths[state].clone(),
-                    kind,
-                }
-            })
-            .collect();
-        let ports = compiled
-            .ports
-            .iter()
-            .map(|p| PortNets {
+
+        let mut ports = Vec::new();
+        for p in flat.ports() {
+            if p.dir == PortDir::Inout {
+                return Err(SimError::InoutUnsupported {
+                    port: p.name.clone(),
+                });
+            }
+            ports.push(PortNets {
                 name: p.name.clone(),
                 dir: p.dir,
                 nets: p.nets.clone(),
-            })
-            .collect();
+            });
+        }
+
+        // Clock nets: the nets of the designated clock port plus
+        // anything reached through clock buffers, to a fixpoint.
+        let clock_name = clock_port.map(str::to_owned).or_else(|| {
+            ports
+                .iter()
+                .find(|p| {
+                    p.dir == PortDir::Input
+                        && (p.name == "clk" || p.name == "c" || p.name == "clock")
+                })
+                .map(|p| p.name.clone())
+        });
+        let mut is_clock = vec![false; net_count];
+        let mut clock_nets = Vec::new();
+        if let Some(p) = clock_name.and_then(|name| ports.iter().find(|p| p.name == name)) {
+            for &n in &p.nets {
+                if !is_clock[n.index()] {
+                    is_clock[n.index()] = true;
+                    clock_nets.push(n);
+                }
+            }
+        }
+        loop {
+            let mut changed = false;
+            for leaf in flat.leaves() {
+                let FlatKind::Primitive(prim) = &leaf.kind else {
+                    continue;
+                };
+                if prim.name == "buf" || prim.name == "bufg" {
+                    let (Some(i), Some(o)) = (leaf.conn("i"), leaf.conn("o")) else {
+                        continue;
+                    };
+                    let (i, o) = (i.nets[0], o.nets[0]);
+                    if is_clock[i.index()] && !is_clock[o.index()] {
+                        is_clock[o.index()] = true;
+                        clock_nets.push(o);
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+
+        let mut eval_nodes = Vec::new();
+        let mut seq = Vec::new();
+        let mut const_drives = Vec::new();
+        let mut black_box_outputs = Vec::new();
+        let mut driver_count = vec![0u8; net_count];
+        let mut note_driver = |net: NetId| {
+            driver_count[net.index()] = driver_count[net.index()].saturating_add(1);
+        };
+        for p in &ports {
+            if p.dir == PortDir::Input {
+                p.nets.iter().copied().for_each(&mut note_driver);
+            }
+        }
+
+        for leaf in flat.leaves() {
+            let prim = match &leaf.kind {
+                FlatKind::BlackBox(_) => {
+                    for conn in leaf.conns.iter().filter(|c| c.dir != PortDir::Input) {
+                        for &n in &conn.nets {
+                            black_box_outputs.push(n);
+                            note_driver(n);
+                        }
+                    }
+                    continue;
+                }
+                FlatKind::Primitive(prim) => prim,
+            };
+            let kind = PrimKind::from_primitive(prim)?;
+            let conn1 = |name: &str| -> NetId { leaf.conn(name).expect("port exists").nets[0] };
+            let class = kind.class();
+            if matches!(
+                class,
+                PrimClass::Ff { .. } | PrimClass::Srl16 | PrimClass::Ram16
+            ) && !is_clock[conn1("c").index()]
+            {
+                return Err(SimError::UnsupportedClock {
+                    instance: leaf.path.clone(),
+                });
+            }
+            // Sequential elements are numbered in `seq` order; memory
+            // read nodes name their element by that index.
+            let mut push_seq = |kind: SeqKind| {
+                seq.push(SeqElem {
+                    path: leaf.path.clone(),
+                    kind,
+                });
+                seq.len() - 1
+            };
+            match class {
+                PrimClass::Const(v) => {
+                    let o = conn1("o");
+                    const_drives.push((o, v));
+                    note_driver(o);
+                }
+                PrimClass::Comb | PrimClass::Rom16 => {
+                    // Inputs in port-declaration order.
+                    let mut inputs = Vec::new();
+                    let mut output = None;
+                    for spec in kind.ports() {
+                        let conn = leaf.conn(&spec.name).expect("port exists");
+                        match spec.dir {
+                            PortDir::Input => inputs.extend(conn.nets.iter().copied()),
+                            _ => output = Some(conn.nets[0]),
+                        }
+                    }
+                    let output = output.expect("comb prim has output");
+                    note_driver(output);
+                    eval_nodes.push(CombEval {
+                        kind: CombKind::Prim(kind),
+                        inputs,
+                        output,
+                    });
+                }
+                PrimClass::Ff { has_ce, control } => {
+                    let q = conn1("q");
+                    note_driver(q);
+                    push_seq(SeqKind::Ff {
+                        d: conn1("d"),
+                        ce: has_ce.then(|| conn1("ce")),
+                        control: match control {
+                            FfControl::None => None,
+                            FfControl::AsyncClear => Some((FfControl::AsyncClear, conn1("clr"))),
+                            FfControl::SyncReset => Some((FfControl::SyncReset, conn1("r"))),
+                        },
+                        init: match kind {
+                            PrimKind::Ff { init, .. } => init,
+                            _ => Logic::Zero,
+                        },
+                        q,
+                    });
+                }
+                PrimClass::Srl16 => {
+                    let q = conn1("q");
+                    note_driver(q);
+                    let elem = push_seq(SeqKind::Srl16 {
+                        d: conn1("d"),
+                        ce: conn1("ce"),
+                        init: match kind {
+                            PrimKind::Srl16 { init } => init,
+                            _ => 0,
+                        },
+                    });
+                    eval_nodes.push(CombEval {
+                        kind: CombKind::SrlRead { seq: elem },
+                        inputs: leaf.conn("a").expect("srl addr").nets.clone(),
+                        output: q,
+                    });
+                }
+                PrimClass::Ram16 => {
+                    let o = conn1("o");
+                    note_driver(o);
+                    let addr = leaf.conn("a").expect("ram addr").nets.clone();
+                    let elem = push_seq(SeqKind::Ram16 {
+                        d: conn1("d"),
+                        we: conn1("we"),
+                        addr: [addr[0], addr[1], addr[2], addr[3]],
+                        init: match kind {
+                            PrimKind::Ram16x1 { init } => init,
+                            _ => 0,
+                        },
+                    });
+                    eval_nodes.push(CombEval {
+                        kind: CombKind::RamRead { seq: elem },
+                        inputs: addr,
+                        output: o,
+                    });
+                }
+            }
+        }
+
+        if let Some(i) = driver_count.iter().position(|&count| count > 1) {
+            return Err(SimError::MultipleDrivers {
+                net: net_names[i].clone(),
+            });
+        }
+
+        let (eval_order, acyclic_prefix) = levelize(eval_nodes, net_count);
         Ok(NetlistGraph {
-            net_count: compiled.net_count,
-            net_names: compiled.net_names.clone(),
+            net_count,
+            net_names,
             eval_order,
-            acyclic_prefix: compiled.acyclic_prefix,
+            acyclic_prefix,
             seq,
-            const_drives: compiled.const_drives.clone(),
-            black_box_outputs: compiled.black_box_outputs.clone(),
+            const_drives,
+            black_box_outputs,
             ports,
-            clock_nets: compiled.clock_nets.clone(),
+            clock_nets,
+            name_to_net: Arc::new(name_to_net),
         })
     }
 
@@ -263,6 +396,58 @@ impl NetlistGraph {
     pub fn is_clock_net(&self, net: NetId) -> bool {
         self.clock_nets.contains(&net)
     }
+}
+
+/// Topologically sorts evaluation nodes (Kahn's algorithm; nodes whose
+/// inputs are only primary inputs, constants or state outputs are
+/// sources). Returns the reordered nodes plus the length of the sorted
+/// acyclic prefix; when the prefix covers every node the network is
+/// fully levelized, otherwise the cyclic remainder is appended in
+/// original order (relaxation required for those nodes only).
+fn levelize(nodes: Vec<CombEval>, net_count: usize) -> (Vec<CombEval>, usize) {
+    let mut producer: Vec<Option<usize>> = vec![None; net_count];
+    for (i, n) in nodes.iter().enumerate() {
+        producer[n.output.index()] = Some(i);
+    }
+    // In-degree per node = number of inputs produced by other nodes.
+    let mut indeg = vec![0usize; nodes.len()];
+    let mut consumers: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
+    for (i, n) in nodes.iter().enumerate() {
+        for input in &n.inputs {
+            if let Some(p) = producer[input.index()] {
+                if p != i {
+                    indeg[i] += 1;
+                    consumers[p].push(i);
+                }
+            }
+        }
+    }
+    let mut queue: Vec<usize> = indeg
+        .iter()
+        .enumerate()
+        .filter(|(_, &d)| d == 0)
+        .map(|(i, _)| i)
+        .collect();
+    let mut order = Vec::with_capacity(nodes.len());
+    let mut emitted = vec![false; nodes.len()];
+    while let Some(i) = queue.pop() {
+        order.push(i);
+        emitted[i] = true;
+        for &c in &consumers[i] {
+            indeg[c] -= 1;
+            if indeg[c] == 0 {
+                queue.push(c);
+            }
+        }
+    }
+    let acyclic_prefix = order.len();
+    order.extend((0..nodes.len()).filter(|&i| !emitted[i]));
+    let mut by_index: Vec<Option<CombEval>> = nodes.into_iter().map(Some).collect();
+    let ordered = order
+        .into_iter()
+        .map(|i| by_index[i].take().expect("each node emitted once"))
+        .collect();
+    (ordered, acyclic_prefix)
 }
 
 #[cfg(test)]

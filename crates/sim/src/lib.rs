@@ -4,6 +4,9 @@
 //! [`ipd-hdl`](ipd_hdl) circuits, reproducing the JHDL design suite's
 //! built-in simulator that the paper embeds in IP evaluation applets:
 //!
+//! - [`NetlistGraph`] — the levelized structural model of a design:
+//!   the one compile output both engines below execute and
+//!   `ipd-verify` reasons over.
 //! - [`Simulator`] — drive inputs, advance the clock, peek ports and
 //!   internal nets, inspect memory contents, reset. It is the reference
 //!   semantics and the only engine that records waveforms.
@@ -49,7 +52,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod compile;
 mod error;
 mod exec;
 pub mod graph;

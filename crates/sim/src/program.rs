@@ -1,9 +1,10 @@
-//! Lowering of a compiled netlist into flat, cache-friendly bytecode.
+//! Lowering of a [`NetlistGraph`] into flat, cache-friendly bytecode.
 //!
-//! The scalar simulator walks `Vec<EvalNode>` — every node carries a
-//! heap-allocated `Vec<NetId>` of inputs and a `PrimKind` enum that the
-//! hot loop re-dispatches on, gathering a fresh input `Vec` per
-//! evaluation. A [`Program`] removes all of that:
+//! The scalar simulator walks the graph's `Vec<CombEval>` directly —
+//! every node carries a heap-allocated `Vec<NetId>` of inputs and a
+//! `PrimKind` enum that the hot loop re-dispatches on, gathering a
+//! fresh input `Vec` per evaluation. A [`Program`] removes all of
+//! that:
 //!
 //! - **Struct-of-arrays node storage.** One contiguous array per field
 //!   (`tags`, `outs`, `arg_base`, `aux`), with every node's input
@@ -30,7 +31,7 @@ use std::sync::Arc;
 use ipd_hdl::{Logic, NetId};
 use ipd_techlib::PrimKind;
 
-use crate::compile::{Compiled, EvalFunc, PortInfo, SeqUpdate};
+use crate::graph::{CombKind, NetlistGraph, PortNets, SeqKind};
 
 /// Sentinel for "no net" in optional operand slots (clock enables,
 /// reset controls).
@@ -174,24 +175,26 @@ pub(crate) struct Program {
     pub rams: Vec<RamOp>,
     /// Power-on contents per word state.
     pub word_init: Vec<u16>,
-    /// Compile-time state index → executor storage slot, parallel to
-    /// `state_paths`.
+    /// Graph state index (position in [`NetlistGraph::seq`]) →
+    /// executor storage slot, parallel to `state_paths`.
     pub state_slots: Vec<StateSlot>,
     pub state_paths: Vec<String>,
 
     // Metadata retained for the simulator API.
     pub net_names: Vec<String>,
-    pub name_to_net: HashMap<String, NetId>,
-    pub ports: Vec<PortInfo>,
+    /// Shared with the graph the program was lowered from.
+    pub name_to_net: Arc<HashMap<String, NetId>>,
+    pub ports: Vec<PortNets>,
     pub const_drives: Vec<(NetId, Logic)>,
     pub black_box_outputs: Vec<NetId>,
     pub clock_nets: Vec<NetId>,
 }
 
 impl Program {
-    /// Lowers a compiled netlist into bytecode, sharing nothing with
-    /// the source.
-    pub(crate) fn lower(compiled: &Compiled) -> Arc<Program> {
+    /// Lowers a netlist graph into bytecode. The program keeps only
+    /// the metadata the simulator API needs (and shares the graph's
+    /// name map), never the graph's node vectors.
+    pub(crate) fn lower(graph: &NetlistGraph) -> Arc<Program> {
         // Sequential programs first: word reads in the combinational
         // network reference word-state indices assigned here.
         let mut ffs = Vec::new();
@@ -199,16 +202,15 @@ impl Program {
         let mut srls = Vec::new();
         let mut rams = Vec::new();
         let mut word_init = Vec::new();
-        let mut state_slots = Vec::with_capacity(compiled.seq.len());
-        for update in &compiled.seq {
-            match update {
-                SeqUpdate::Ff {
+        let mut state_slots = Vec::with_capacity(graph.seq.len());
+        for elem in &graph.seq {
+            match &elem.kind {
+                SeqKind::Ff {
                     d,
                     ce,
                     control,
                     init,
                     q,
-                    ..
                 } => {
                     state_slots.push(StateSlot::Ff(ffs.len() as u32));
                     ffs.push(FfOp {
@@ -219,7 +221,7 @@ impl Program {
                     });
                     ff_init.push(*init);
                 }
-                SeqUpdate::Srl16 { d, ce, init, .. } => {
+                SeqKind::Srl16 { d, ce, init } => {
                     let word = word_init.len() as u32;
                     state_slots.push(StateSlot::Word(word));
                     word_init.push(*init);
@@ -229,9 +231,7 @@ impl Program {
                         ce: ce.index() as u32,
                     });
                 }
-                SeqUpdate::Ram16 {
-                    d, we, addr, init, ..
-                } => {
+                SeqKind::Ram16 { d, we, addr, init } => {
                     let word = word_init.len() as u32;
                     state_slots.push(StateSlot::Word(word));
                     word_init.push(*init);
@@ -251,18 +251,18 @@ impl Program {
         }
 
         // Combinational bytecode.
-        let n = compiled.eval_order.len();
+        let n = graph.eval_order.len();
         let mut tags = Vec::with_capacity(n);
         let mut outs = Vec::with_capacity(n);
         let mut arg_base = Vec::with_capacity(n);
         let mut aux = Vec::with_capacity(n);
         let mut args = Vec::new();
         let mut lut_init = Vec::new();
-        for node in &compiled.eval_order {
-            let (tag, node_aux) = match &node.func {
-                EvalFunc::Prim(kind) => lower_prim(kind, &mut lut_init),
-                EvalFunc::SrlRead { state } | EvalFunc::RamRead { state } => {
-                    let StateSlot::Word(word) = state_slots[*state] else {
+        for node in &graph.eval_order {
+            let (tag, node_aux) = match &node.kind {
+                CombKind::Prim(kind) => lower_prim(kind, &mut lut_init),
+                CombKind::SrlRead { seq } | CombKind::RamRead { seq } => {
+                    let StateSlot::Word(word) = state_slots[*seq] else {
                         unreachable!("word reads target word states")
                     };
                     (OpTag::WordRead, word)
@@ -281,9 +281,9 @@ impl Program {
         }
 
         Arc::new(Program {
-            net_count: compiled.net_count,
-            levelized: compiled.levelized,
-            acyclic_prefix: compiled.acyclic_prefix,
+            net_count: graph.net_count,
+            levelized: graph.levelized(),
+            acyclic_prefix: graph.acyclic_prefix,
             tags,
             outs,
             arg_base,
@@ -296,13 +296,13 @@ impl Program {
             rams,
             word_init,
             state_slots,
-            state_paths: compiled.state_paths.clone(),
-            net_names: compiled.net_names.clone(),
-            name_to_net: compiled.name_to_net.clone(),
-            ports: compiled.ports.clone(),
-            const_drives: compiled.const_drives.clone(),
-            black_box_outputs: compiled.black_box_outputs.clone(),
-            clock_nets: compiled.clock_nets.clone(),
+            state_paths: graph.seq.iter().map(|e| e.path.clone()).collect(),
+            net_names: graph.net_names.clone(),
+            name_to_net: Arc::clone(&graph.name_to_net),
+            ports: graph.ports.clone(),
+            const_drives: graph.const_drives.clone(),
+            black_box_outputs: graph.black_box_outputs.clone(),
+            clock_nets: graph.clock_nets.clone(),
         })
     }
 

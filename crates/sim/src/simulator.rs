@@ -5,8 +5,8 @@ use std::collections::HashMap;
 use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, NetId, PortDir};
 use ipd_techlib::FfControl;
 
-use crate::compile::{compile, Compiled, EvalFunc, SeqUpdate};
 use crate::error::SimError;
+use crate::graph::{CombKind, NetlistGraph, SeqKind};
 use crate::waveform::Trace;
 
 /// State storage for one sequential element.
@@ -54,7 +54,9 @@ enum StateCell {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Simulator {
-    compiled: Compiled,
+    graph: NetlistGraph,
+    /// Instance paths of `graph.seq`, in state-index order.
+    state_paths: Vec<String>,
     nets: Vec<Logic>,
     states: Vec<StateCell>,
     input_values: HashMap<String, LogicVec>,
@@ -95,16 +97,17 @@ impl Simulator {
     ///
     /// As for [`Simulator::new`].
     pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
-        let compiled = compile(flat, clock_port)?;
+        let graph = NetlistGraph::build(flat, clock_port)?;
         let mut sim = Simulator {
-            nets: vec![Logic::X; compiled.net_count],
+            state_paths: graph.seq.iter().map(|e| e.path.clone()).collect(),
+            nets: vec![Logic::X; graph.net_count],
             states: Vec::new(),
             input_values: HashMap::new(),
             dirty: true,
             cycle_count: 0,
             traces: Vec::new(),
             trace_nets: Vec::new(),
-            compiled,
+            graph,
         };
         sim.power_on();
         Ok(sim)
@@ -114,7 +117,7 @@ impl Simulator {
     /// combinational cycles; fastest mode).
     #[must_use]
     pub fn is_levelized(&self) -> bool {
-        self.compiled.levelized
+        self.graph.levelized()
     }
 
     /// Cycles simulated since power-on or the last [`Simulator::reset`].
@@ -126,7 +129,7 @@ impl Simulator {
     /// Names and directions of the primary ports.
     #[must_use]
     pub fn ports(&self) -> Vec<(String, PortDir, u32)> {
-        self.compiled
+        self.graph
             .ports
             .iter()
             .map(|p| (p.name.clone(), p.dir, p.nets.len() as u32))
@@ -136,10 +139,10 @@ impl Simulator {
     fn power_on(&mut self) {
         self.nets.fill(Logic::X);
         self.states.clear();
-        for update in &self.compiled.seq {
-            match update {
-                SeqUpdate::Ff { init, .. } => self.states.push(StateCell::Bit(*init)),
-                SeqUpdate::Srl16 { init, .. } | SeqUpdate::Ram16 { init, .. } => {
+        for elem in &self.graph.seq {
+            match elem.kind {
+                SeqKind::Ff { init, .. } => self.states.push(StateCell::Bit(init)),
+                SeqKind::Srl16 { init, .. } | SeqKind::Ram16 { init, .. } => {
                     let mut word = [Logic::Zero; 16];
                     for (i, bit) in word.iter_mut().enumerate() {
                         *bit = Logic::from_bool((init >> i) & 1 == 1);
@@ -148,15 +151,15 @@ impl Simulator {
                 }
             }
         }
-        for &(net, v) in &self.compiled.const_drives {
+        for &(net, v) in &self.graph.const_drives {
             self.nets[net.index()] = v;
         }
-        for &net in &self.compiled.black_box_outputs {
+        for &net in &self.graph.black_box_outputs {
             self.nets[net.index()] = Logic::X;
         }
         self.drive_state_outputs();
         // Clock nets idle low between edges.
-        for &net in &self.compiled.clock_nets {
+        for &net in &self.graph.clock_nets {
             self.nets[net.index()] = Logic::Zero;
         }
         self.dirty = true;
@@ -181,7 +184,7 @@ impl Simulator {
     /// Fails for unknown ports, non-inputs and width mismatches.
     pub fn set(&mut self, port: &str, value: LogicVec) -> Result<(), SimError> {
         let info = self
-            .compiled
+            .graph
             .ports
             .iter()
             .find(|p| p.name == port)
@@ -230,7 +233,7 @@ impl Simulator {
     }
 
     fn port_width(&self, port: &str) -> Result<u32, SimError> {
-        self.compiled
+        self.graph
             .ports
             .iter()
             .find(|p| p.name == port)
@@ -248,7 +251,7 @@ impl Simulator {
     pub fn peek(&mut self, port: &str) -> Result<LogicVec, SimError> {
         self.ensure_settled()?;
         let info = self
-            .compiled
+            .graph
             .ports
             .iter()
             .find(|p| p.name == port)
@@ -265,14 +268,14 @@ impl Simulator {
     /// Fails for unknown nets or if settling oscillates.
     pub fn peek_net(&mut self, net: &str) -> Result<Logic, SimError> {
         self.ensure_settled()?;
-        let id =
-            self.compiled
-                .name_to_net
-                .get(net)
-                .copied()
-                .ok_or_else(|| SimError::UnknownNet {
-                    net: net.to_owned(),
-                })?;
+        let id = self
+            .graph
+            .name_to_net
+            .get(net)
+            .copied()
+            .ok_or_else(|| SimError::UnknownNet {
+                net: net.to_owned(),
+            })?;
         Ok(self.nets[id.index()])
     }
 
@@ -289,17 +292,14 @@ impl Simulator {
 
     /// Index of the state element at `instance_path`.
     fn state_index(&self, instance_path: &str) -> Option<usize> {
-        self.compiled
-            .state_paths
-            .iter()
-            .position(|p| p == instance_path)
+        self.state_paths.iter().position(|p| p == instance_path)
     }
 
     /// Lists the instance paths of all stateful elements (flip-flops,
     /// shift registers, RAMs).
     #[must_use]
     pub fn state_elements(&self) -> &[String] {
-        &self.compiled.state_paths
+        &self.state_paths
     }
 
     /// Advances the global clock by `n` cycles.
@@ -317,25 +317,16 @@ impl Simulator {
     fn one_cycle(&mut self) -> Result<(), SimError> {
         self.ensure_settled()?;
         // Capture next state from pre-edge values.
-        let mut next: Vec<StateCell> = self.states.clone();
-        for update in &self.compiled.seq {
-            match update {
-                SeqUpdate::Ff {
-                    state,
-                    d,
-                    ce,
-                    control,
-                    q: _,
-                    init: _,
-                } => {
-                    let cur = match self.states[*state] {
-                        StateCell::Bit(v) => v,
-                        StateCell::Word(_) => unreachable!("ff state is a bit"),
+        let mut next = Vec::with_capacity(self.states.len());
+        for (state, elem) in self.graph.seq.iter().enumerate() {
+            next.push(match &elem.kind {
+                SeqKind::Ff { d, ce, control, .. } => {
+                    let StateCell::Bit(cur) = self.states[state] else {
+                        unreachable!("ff state is a bit")
                     };
                     let d = self.nets[d.index()];
                     let mut value = match ce.map(|c| self.nets[c.index()]) {
-                        None => d,
-                        Some(Logic::One) => d,
+                        None | Some(Logic::One) => d,
                         Some(Logic::Zero) => cur,
                         Some(_) => Logic::X,
                     };
@@ -347,41 +338,26 @@ impl Simulator {
                             (FfControl::None, _) => {}
                         }
                     }
-                    next[*state] = StateCell::Bit(value);
+                    StateCell::Bit(value)
                 }
-                SeqUpdate::Srl16 {
-                    state,
-                    d,
-                    ce,
-                    init: _,
-                } => {
-                    let StateCell::Word(cur) = &self.states[*state] else {
+                SeqKind::Srl16 { d, ce, .. } => {
+                    let StateCell::Word(mut word) = self.states[state] else {
                         unreachable!("srl state is a word")
                     };
-                    let mut word = *cur;
                     match self.nets[ce.index()] {
                         Logic::One => {
-                            for i in (1..16).rev() {
-                                word[i] = word[i - 1];
-                            }
+                            word.copy_within(0..15, 1);
                             word[0] = self.nets[d.index()];
                         }
                         Logic::Zero => {}
                         _ => word = [Logic::X; 16],
                     }
-                    next[*state] = StateCell::Word(word);
+                    StateCell::Word(word)
                 }
-                SeqUpdate::Ram16 {
-                    state,
-                    d,
-                    we,
-                    addr,
-                    init: _,
-                } => {
-                    let StateCell::Word(cur) = &self.states[*state] else {
+                SeqKind::Ram16 { d, we, addr, .. } => {
+                    let StateCell::Word(mut word) = self.states[state] else {
                         unreachable!("ram state is a word")
                     };
-                    let mut word = *cur;
                     match self.nets[we.index()] {
                         Logic::One => {
                             let mut idx = 0usize;
@@ -402,9 +378,9 @@ impl Simulator {
                         Logic::Zero => {}
                         _ => word = [Logic::X; 16],
                     }
-                    next[*state] = StateCell::Word(word);
+                    StateCell::Word(word)
                 }
-            }
+            });
         }
         self.states = next;
         self.drive_state_outputs();
@@ -416,11 +392,9 @@ impl Simulator {
     }
 
     fn drive_state_outputs(&mut self) {
-        for update in &self.compiled.seq {
-            if let SeqUpdate::Ff { state, q, .. } = update {
-                if let StateCell::Bit(v) = self.states[*state] {
-                    self.nets[q.index()] = v;
-                }
+        for (elem, state) in self.graph.seq.iter().zip(&self.states) {
+            if let (SeqKind::Ff { q, .. }, StateCell::Bit(v)) = (&elem.kind, state) {
+                self.nets[q.index()] = *v;
             }
         }
     }
@@ -429,21 +403,21 @@ impl Simulator {
         if !self.dirty {
             return Ok(());
         }
-        if self.compiled.levelized {
+        if self.graph.levelized() {
             // One topological pass is exact.
-            for i in 0..self.compiled.eval_order.len() {
+            for i in 0..self.graph.eval_order.len() {
                 let value = self.eval_node(i);
-                let out = self.compiled.eval_order[i].output;
+                let out = self.graph.eval_order[i].output;
                 self.nets[out.index()] = value;
             }
         } else {
-            let limit = 2 * self.compiled.eval_order.len() + 8;
+            let limit = 2 * self.graph.eval_order.len() + 8;
             let mut pass = 0;
             loop {
                 let mut changed_net: Option<NetId> = None;
-                for i in 0..self.compiled.eval_order.len() {
+                for i in 0..self.graph.eval_order.len() {
                     let value = self.eval_node(i);
-                    let out = self.compiled.eval_order[i].output;
+                    let out = self.graph.eval_order[i].output;
                     if self.nets[out.index()] != value {
                         self.nets[out.index()] = value;
                         changed_net = Some(out);
@@ -455,7 +429,7 @@ impl Simulator {
                         pass += 1;
                         if pass > limit {
                             return Err(SimError::Oscillation {
-                                net: self.compiled.net_names[net.index()].clone(),
+                                net: self.graph.net_names[net.index()].clone(),
                             });
                         }
                     }
@@ -467,14 +441,14 @@ impl Simulator {
     }
 
     fn eval_node(&self, index: usize) -> Logic {
-        let node = &self.compiled.eval_order[index];
-        match &node.func {
-            EvalFunc::Prim(kind) => {
+        let node = &self.graph.eval_order[index];
+        match &node.kind {
+            CombKind::Prim(kind) => {
                 let inputs: Vec<Logic> = node.inputs.iter().map(|n| self.nets[n.index()]).collect();
                 kind.eval_comb(&inputs)
             }
-            EvalFunc::SrlRead { state } | EvalFunc::RamRead { state } => {
-                let StateCell::Word(word) = &self.states[*state] else {
+            CombKind::SrlRead { seq } | CombKind::RamRead { seq } => {
+                let StateCell::Word(word) = &self.states[*seq] else {
                     return Logic::X;
                 };
                 word_read(node.inputs.iter().map(|n| self.nets[n.index()]), word)
@@ -489,7 +463,7 @@ impl Simulator {
     /// Fails for unknown ports.
     pub fn record(&mut self, port: &str) -> Result<(), SimError> {
         let info = self
-            .compiled
+            .graph
             .ports
             .iter()
             .find(|p| p.name == port)
@@ -507,14 +481,14 @@ impl Simulator {
     ///
     /// Fails for unknown nets.
     pub fn record_net(&mut self, net: &str) -> Result<(), SimError> {
-        let id =
-            self.compiled
-                .name_to_net
-                .get(net)
-                .copied()
-                .ok_or_else(|| SimError::UnknownNet {
-                    net: net.to_owned(),
-                })?;
+        let id = self
+            .graph
+            .name_to_net
+            .get(net)
+            .copied()
+            .ok_or_else(|| SimError::UnknownNet {
+                net: net.to_owned(),
+            })?;
         self.traces.push(Trace::new(net, 1));
         self.trace_nets.push(vec![id]);
         Ok(())

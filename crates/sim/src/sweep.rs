@@ -52,9 +52,9 @@ use std::time::{Duration, Instant};
 
 use ipd_hdl::{Circuit, FlatNetlist, LogicVec, PortDir};
 
-use crate::compile::compile;
 use crate::error::SimError;
 use crate::exec::{CompiledSimulator, COMPILED_MAX_LANES};
+use crate::graph::NetlistGraph;
 use crate::program::Program;
 
 /// One stimulus vector: `(input port, value)` assignments.
@@ -151,7 +151,7 @@ impl VectorSweep {
     /// As for [`CompiledSimulator::new`](crate::CompiledSimulator::new).
     pub fn from_flat(flat: &FlatNetlist, clock_port: Option<&str>) -> Result<Self, SimError> {
         Ok(VectorSweep {
-            program: Program::lower(&compile(flat, clock_port)?),
+            program: Program::lower(&NetlistGraph::build(flat, clock_port)?),
             cycles: 0,
             threads: default_threads(),
         })

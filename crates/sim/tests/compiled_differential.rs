@@ -5,8 +5,10 @@
 //! full 256-lane plane width, all stateful primitives, comb-loop
 //! relaxation mode and sharded `VectorSweep` runs.
 
-use ipd_hdl::{Circuit, Logic, LogicVec, PortSpec, Signal};
-use ipd_sim::{CompiledSimulator, SimError, Simulator, VectorSweep, COMPILED_MAX_LANES};
+use ipd_hdl::{Circuit, FlatNetlist, Logic, LogicVec, PortDir, PortSpec, Signal};
+use ipd_sim::{
+    CompiledSimulator, NetlistGraph, SimError, Simulator, VectorSweep, COMPILED_MAX_LANES,
+};
 use ipd_techlib::LogicCtx;
 use ipd_testutil::{check_n, XorShift64};
 
@@ -442,6 +444,31 @@ fn set_ff_agrees_with_compiled_set_ff_lane() {
     }
     assert!(!scalar.set_ff("stateful/no_such_ff", Logic::One));
     assert!(!compiled.set_ff_lane("stateful/no_such_ff", 0, Logic::One));
+}
+
+/// Both engines are built from one `NetlistGraph`, so for every zoo
+/// design they report the graph's state order, port list and
+/// levelization.
+#[test]
+fn zoo_engines_report_the_graph_view() {
+    for (name, circuit) in ipd_modgen::example_zoo() {
+        let flat = FlatNetlist::build(&circuit).expect("flatten");
+        let graph = NetlistGraph::build(&flat, None).expect("graph");
+        let scalar = Simulator::from_flat(&flat, None).expect("scalar");
+        let compiled = CompiledSimulator::from_flat(&flat, None, 1).expect("compiled");
+        let paths: Vec<String> = graph.seq.iter().map(|e| e.path.clone()).collect();
+        assert_eq!(scalar.state_elements(), paths.as_slice(), "{name}");
+        assert_eq!(compiled.state_elements(), paths.as_slice(), "{name}");
+        let ports: Vec<(String, PortDir, u32)> = graph
+            .ports
+            .iter()
+            .map(|p| (p.name.clone(), p.dir, p.nets.len() as u32))
+            .collect();
+        assert_eq!(scalar.ports(), ports, "{name}");
+        assert_eq!(compiled.ports(), ports, "{name}");
+        assert_eq!(scalar.is_levelized(), graph.levelized(), "{name}");
+        assert_eq!(compiled.is_levelized(), graph.levelized(), "{name}");
+    }
 }
 
 /// Out-of-range lanes and invalid lane counts are rejected, not

@@ -14,7 +14,9 @@
 //!    literals, first-UIP learning, VSIDS, Luby restarts) answers the
 //!    miter queries; a simulation-guided sweep ([`cec`]) buckets
 //!    candidate-equivalent nodes by 256-lane random signatures and
-//!    merges proved pairs so most outputs never reach SAT.
+//!    merges proved pairs so most outputs never reach SAT. The sweep
+//!    and the [`oracle`] reach the solver through one shared lazy
+//!    Tseitin encoder.
 //! 3. **Equivalence checking** ([`equiv`]) — [`check_equiv`] matches
 //!    primary I/O and state boundaries between two designs and
 //!    returns [`EquivVerdict::Equivalent`] or a distinguishing input
@@ -36,6 +38,7 @@ pub mod lower;
 pub mod oracle;
 pub mod replay;
 pub mod sat;
+mod tseitin;
 
 pub use aig::{Aig, Lit, FALSE, TRUE};
 pub use cec::{CecOptions, CecResult, CecStats};
