@@ -240,42 +240,36 @@ impl AppletServer {
     /// refusals are audited too.
     pub fn serve(&mut self, customer: &str, today: u32) -> Result<IpExecutable, CoreError> {
         let license = self.authorize(customer, today)?;
-        let executable = IpExecutable::new(
+        let executable = self.executable(&license);
+        let outcome = format!(
+            "served {} with [{}]",
+            license.product(),
+            license.capabilities()
+        );
+        self.record(customer, today, outcome);
+        Ok(executable)
+    }
+
+    /// The executable a license entitles its holder to.
+    fn executable(&self, license: &License) -> IpExecutable {
+        IpExecutable::new(
             license.product(),
             self.vendor.clone(),
             license.capabilities(),
-        );
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: format!(
-                "served {} with [{}]",
-                license.product(),
-                license.capabilities()
-            ),
-        });
-        Ok(executable)
+        )
     }
 
     /// License lookup + verification with audited refusals — the
     /// shared front half of every serve-style endpoint.
     fn authorize(&mut self, customer: &str, today: u32) -> Result<License, CoreError> {
         let Some(license) = self.profiles.get(customer).cloned() else {
-            self.audit.push(AuditRecord {
-                customer: customer.to_owned(),
-                day: today,
-                outcome: "refused: unknown customer".to_owned(),
-            });
+            self.record(customer, today, "refused: unknown customer");
             return Err(CoreError::UnknownCustomer {
                 customer: customer.to_owned(),
             });
         };
         if let Err(e) = self.authority.verify(&license, today) {
-            self.audit.push(AuditRecord {
-                customer: customer.to_owned(),
-                day: today,
-                outcome: format!("refused: {e}"),
-            });
+            self.record(customer, today, format!("refused: {e}"));
             return Err(e);
         }
         Ok(license)
@@ -291,11 +285,7 @@ impl AppletServer {
     /// Same conditions as [`AppletServer::serve`].
     pub fn manifest(&mut self, customer: &str, today: u32) -> Result<DeliveryManifest, CoreError> {
         let license = self.authorize(customer, today)?;
-        let executable = IpExecutable::new(
-            license.product(),
-            self.vendor.clone(),
-            license.capabilities(),
-        );
+        let executable = self.executable(&license);
         let entries = executable
             .required_bundles()
             .iter()
@@ -310,11 +300,7 @@ impl AppletServer {
                 }
             })
             .collect();
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: format!("manifest {}", license.product()),
-        });
+        self.record(customer, today, format!("manifest {}", license.product()));
         Ok(DeliveryManifest::new(license.product().to_owned(), entries))
     }
 
@@ -337,11 +323,7 @@ impl AppletServer {
         have: &[Digest],
     ) -> Result<DeliveryResponse, CoreError> {
         let license = self.authorize(customer, today)?;
-        let executable = IpExecutable::new(
-            license.product(),
-            self.vendor.clone(),
-            license.capabilities(),
-        );
+        let executable = self.executable(&license);
         let mut items = Vec::new();
         let mut bytes = 0usize;
         for name in executable.required_bundles() {
@@ -369,17 +351,14 @@ impl AppletServer {
             .iter()
             .filter(|i| matches!(i, BundleDelivery::Payload { .. }))
             .count();
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: format!(
-                "served {} bundles: {} payload(s), {} not-modified, {} bytes",
-                license.product(),
-                delivered,
-                items.len() - delivered,
-                bytes
-            ),
-        });
+        let outcome = format!(
+            "served {} bundles: {} payload(s), {} not-modified, {} bytes",
+            license.product(),
+            delivered,
+            items.len() - delivered,
+            bytes
+        );
+        self.record(customer, today, outcome);
         Ok(DeliveryResponse::new(license.product().to_owned(), items))
     }
 
@@ -402,11 +381,7 @@ impl AppletServer {
         digest: &Digest,
     ) -> Result<std::sync::Arc<[u8]>, CoreError> {
         let license = self.authorize(customer, today)?;
-        let executable = IpExecutable::new(
-            license.product(),
-            self.vendor.clone(),
-            license.capabilities(),
-        );
+        let executable = self.executable(&license);
         for name in executable.required_bundles() {
             if self.digests[name] != *digest {
                 continue;
@@ -415,18 +390,15 @@ impl AppletServer {
             let packed = self.store.get_or_pack_keyed(*digest, bundle);
             let payload = packed.wire_bytes();
             self.store.note_served(payload.len());
-            self.audit.push(AuditRecord {
-                customer: customer.to_owned(),
-                day: today,
-                outcome: format!("served segment {name}: {} bytes", payload.len()),
-            });
+            let outcome = format!("served segment {name}: {} bytes", payload.len());
+            self.record(customer, today, outcome);
             return Ok(payload);
         }
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: "refused: segment digest outside bundle set".to_owned(),
-        });
+        self.record(
+            customer,
+            today,
+            "refused: segment digest outside bundle set",
+        );
         Err(CoreError::UnknownModule {
             module: format!(
                 "segment {:02x}{:02x}{:02x}{:02x}…",
@@ -459,12 +431,7 @@ impl AppletServer {
         vendor_key: &[u8],
     ) -> Result<Vec<(String, Vec<u8>)>, CoreError> {
         let executable = self.serve(customer, today)?;
-        let license = self
-            .profiles
-            .get(customer)
-            .cloned()
-            .expect("serve succeeded, profile exists");
-        let key = crate::seal::bundle_key(vendor_key, &license);
+        let key = crate::seal::bundle_key(vendor_key, &self.profiles[customer]);
         let mut out = Vec::new();
         for (nonce, name) in executable.required_bundles().iter().enumerate() {
             // Plaintext comes from the compress-once store (sealing is
@@ -485,7 +452,10 @@ impl AppletServer {
     /// The lint gate runs vendor-side, before encryption: a customer
     /// must never receive a structurally broken netlist, and every
     /// exception must be an explicit waiver in `lint_config` (the
-    /// surviving report ships with the payload for audit).
+    /// surviving report ships with the payload for audit). When
+    /// `constraints` are given the STA engine runs alongside lint, and
+    /// unwaived setup violations refuse delivery the same way
+    /// structural errors do.
     ///
     /// # Errors
     ///
@@ -499,52 +469,16 @@ impl AppletServer {
         vendor_key: &[u8],
         circuit: &ipd_hdl::Circuit,
         lint_config: &ipd_lint::LintConfig,
-    ) -> Result<crate::seal::SealedDesign, CoreError> {
-        self.serve_design_sealed_timed(customer, today, vendor_key, circuit, lint_config, None)
-    }
-
-    /// [`AppletServer::serve_design_sealed`] with a timing gate: when
-    /// `constraints` are given the STA engine runs alongside lint, and
-    /// unwaived setup violations refuse delivery (audited) the same way
-    /// structural errors do.
-    ///
-    /// # Errors
-    ///
-    /// As for [`AppletServer::serve_design_sealed`].
-    pub fn serve_design_sealed_timed(
-        &mut self,
-        customer: &str,
-        today: u32,
-        vendor_key: &[u8],
-        circuit: &ipd_hdl::Circuit,
-        lint_config: &ipd_lint::LintConfig,
         constraints: Option<&ipd_lint::TimingConstraints>,
     ) -> Result<crate::seal::SealedDesign, CoreError> {
         let license = self.authorize(customer, today)?;
         let key = crate::seal::bundle_key(vendor_key, &license);
-        match crate::seal::seal_design_timed(circuit, lint_config, constraints, &key, today.into())
-        {
-            Ok(sealed) => {
-                self.audit.push(AuditRecord {
-                    customer: customer.to_owned(),
-                    day: today,
-                    outcome: format!(
-                        "served design {} sealed ({})",
-                        circuit.name(),
-                        sealed.report().summary()
-                    ),
-                });
-                Ok(sealed)
-            }
-            Err(e) => {
-                self.audit.push(AuditRecord {
-                    customer: customer.to_owned(),
-                    day: today,
-                    outcome: format!("refused: {e}"),
-                });
-                Err(e)
-            }
-        }
+        let sealed =
+            crate::seal::seal_design(circuit, lint_config, constraints, &key, today.into());
+        let name = circuit.name();
+        self.audited(customer, today, sealed, |s| {
+            format!("served design {name} sealed ({})", s.report().summary())
+        })
     }
 
     /// Runs the static analyzer over a design on behalf of a licensed
@@ -556,7 +490,7 @@ impl AppletServer {
     /// # Errors
     ///
     /// License conditions as for [`AppletServer::serve`], plus
-    /// flattening failures from the linter.
+    /// flattening failures from the linter (audited as refusals).
     pub fn serve_lint_report(
         &mut self,
         customer: &str,
@@ -565,17 +499,13 @@ impl AppletServer {
         lint_config: &ipd_lint::LintConfig,
     ) -> Result<ipd_lint::LintReport, CoreError> {
         self.authorize(customer, today)?;
-        let report = ipd_lint::Linter::with_config(lint_config.clone()).run(circuit)?;
-        self.audit.push(AuditRecord {
-            customer: customer.to_owned(),
-            day: today,
-            outcome: format!(
-                "served lint report for {} ({})",
-                circuit.name(),
-                report.summary()
-            ),
-        });
-        Ok(report)
+        let report = ipd_lint::Linter::with_config(lint_config.clone())
+            .run(circuit)
+            .map_err(CoreError::from);
+        let name = circuit.name();
+        self.audited(customer, today, report, |r| {
+            format!("served lint report for {name} ({})", r.summary())
+        })
     }
 
     /// Runs the STA engine over a design under a constraint set on
@@ -588,7 +518,8 @@ impl AppletServer {
     /// # Errors
     ///
     /// License conditions as for [`AppletServer::serve`], plus STA
-    /// failures (flattening errors, combinational loops).
+    /// failures (flattening errors, combinational loops), audited as
+    /// refusals.
     pub fn serve_slack_summary(
         &mut self,
         customer: &str,
@@ -597,18 +528,38 @@ impl AppletServer {
         constraints: &ipd_estimate::TimingConstraints,
     ) -> Result<ipd_estimate::SlackSummary, CoreError> {
         self.authorize(customer, today)?;
-        let report = ipd_estimate::analyze_timing(circuit, constraints)?;
-        let summary = report.slack_summary();
+        let report = ipd_estimate::analyze_timing(circuit, constraints).map_err(CoreError::from);
+        let name = circuit.name();
+        let report = self.audited(customer, today, report, |r| {
+            format!("served slack summary for {name} ({})", r.summary())
+        })?;
+        Ok(report.slack_summary())
+    }
+
+    /// Appends one access record — the only writer of the audit log.
+    fn record(&mut self, customer: &str, day: u32, outcome: impl Into<String>) {
         self.audit.push(AuditRecord {
             customer: customer.to_owned(),
-            day: today,
-            outcome: format!(
-                "served slack summary for {} ({})",
-                circuit.name(),
-                report.summary()
-            ),
+            day,
+            outcome: outcome.into(),
         });
-        Ok(summary)
+    }
+
+    /// Audits the outcome of an authorized request: `served(..)` on
+    /// success, `refused: {e}` on failure — one record either way.
+    fn audited<T>(
+        &mut self,
+        customer: &str,
+        day: u32,
+        result: Result<T, CoreError>,
+        served: impl FnOnce(&T) -> String,
+    ) -> Result<T, CoreError> {
+        let outcome = match &result {
+            Ok(value) => served(value),
+            Err(e) => format!("refused: {e}"),
+        };
+        self.record(customer, day, outcome);
+        result
     }
 
     /// The full access log.
@@ -692,21 +643,15 @@ mod tests {
 
     #[test]
     fn design_delivery_is_lint_gated() {
-        use ipd_techlib::LogicCtx;
         let vendor_key = b"vendor-key".to_vec();
         let mut server = AppletServer::new("byu", vendor_key.clone());
         let license = server.enroll("acme", "kcm", CapabilitySet::licensed(), 0, 365);
 
         // A design with contention is refused, and the refusal audited.
-        let mut broken = ipd_hdl::Circuit::new("broken");
-        let mut ctx = broken.root_ctx();
-        let a = ctx.add_port(ipd_hdl::PortSpec::input("a", 1)).unwrap();
-        let y = ctx.add_port(ipd_hdl::PortSpec::output("y", 1)).unwrap();
-        ctx.buffer(a, y).unwrap();
-        ctx.buffer(a, y).unwrap();
+        let broken = crate::seal::tests::broken_circuit();
         let config = ipd_lint::LintConfig::new();
         let err = server
-            .serve_design_sealed("acme", 10, &vendor_key, &broken, &config)
+            .serve_design_sealed("acme", 10, &vendor_key, &broken, &config, None)
             .unwrap_err();
         assert!(matches!(err, CoreError::LintRejected { errors: 1, .. }));
         let last = server.audit_log().last().unwrap();
@@ -716,7 +661,7 @@ mod tests {
         let kcm = ipd_modgen::KcmMultiplier::new(-56, 8, 12).signed(true);
         let circuit = ipd_hdl::Circuit::from_generator(&kcm).unwrap();
         let sealed = server
-            .serve_design_sealed("acme", 11, &vendor_key, &circuit, &config)
+            .serve_design_sealed("acme", 11, &vendor_key, &circuit, &config, None)
             .expect("clean design serves");
         assert!(sealed.report().is_clean());
         let key = crate::seal::bundle_key(&vendor_key, &license);
@@ -728,32 +673,17 @@ mod tests {
 
     #[test]
     fn design_delivery_is_timing_gated() {
-        use ipd_techlib::LogicCtx;
         let vendor_key = b"vendor-key".to_vec();
         let mut server = AppletServer::new("byu", vendor_key.clone());
         server.enroll("acme", "chain", CapabilitySet::licensed(), 0, 365);
 
         // A registered chain that cannot make 3 ns.
-        let mut slow = ipd_hdl::Circuit::new("chain");
-        {
-            let mut ctx = slow.root_ctx();
-            let clk = ctx.add_port(ipd_hdl::PortSpec::input("clk", 1)).unwrap();
-            let d = ctx.add_port(ipd_hdl::PortSpec::input("d", 1)).unwrap();
-            let q = ctx.add_port(ipd_hdl::PortSpec::output("q", 1)).unwrap();
-            let mut cur: ipd_hdl::Signal = ctx.wire("s0", 1).into();
-            ctx.fd(clk, d, cur.clone()).unwrap();
-            for i in 0..16 {
-                let nxt = ctx.wire(&format!("s{}", i + 1), 1);
-                ctx.inv(cur, nxt).unwrap();
-                cur = nxt.into();
-            }
-            ctx.fd(clk, cur, q).unwrap();
-        }
+        let slow = crate::seal::tests::chained_circuit(16);
         let mut constraints = ipd_lint::TimingConstraints::new();
         constraints.clock("clk", 3.0, "clk");
         let config = ipd_lint::LintConfig::new();
         let err = server
-            .serve_design_sealed_timed("acme", 10, &vendor_key, &slow, &config, Some(&constraints))
+            .serve_design_sealed("acme", 10, &vendor_key, &slow, &config, Some(&constraints))
             .unwrap_err();
         assert!(matches!(err, CoreError::LintRejected { .. }));
         assert!(server
@@ -771,8 +701,66 @@ mod tests {
         assert!(summary.worst_slack().unwrap() < 0.0);
         // ...and the untimed path still serves the same design.
         server
-            .serve_design_sealed("acme", 11, &vendor_key, &slow, &config)
+            .serve_design_sealed("acme", 11, &vendor_key, &slow, &config, None)
             .expect("untimed delivery ignores slack");
+    }
+
+    #[test]
+    fn design_services_audit_every_call_once() {
+        use ipd_techlib::LogicCtx;
+        let vendor_key = b"vendor-key".to_vec();
+        let mut server = AppletServer::new("byu", vendor_key.clone());
+        server.enroll("acme", "kcm", CapabilitySet::licensed(), 0, 30);
+        let config = ipd_lint::LintConfig::new();
+        let mut constraints = ipd_lint::TimingConstraints::new();
+        constraints.clock("clk", 10.0, "clk");
+        let kcm = ipd_modgen::KcmMultiplier::new(-56, 8, 12).signed(true);
+        let clean = ipd_hdl::Circuit::from_generator(&kcm).unwrap();
+        // Contention (lint error) plus a combinational loop (STA error).
+        let mut looped = ipd_hdl::Circuit::new("looped");
+        {
+            let mut ctx = looped.root_ctx();
+            let a = ctx.add_port(ipd_hdl::PortSpec::input("a", 1)).unwrap();
+            let y = ctx.add_port(ipd_hdl::PortSpec::output("y", 1)).unwrap();
+            let w = ctx.wire("w", 1);
+            ctx.buffer(a, y).unwrap();
+            ctx.inv(y, w).unwrap();
+            ctx.inv(w, y).unwrap();
+        }
+
+        for (customer, day) in [("acme", 10), ("nobody", 10), ("acme", 31)] {
+            let licensed = customer == "acme" && day <= 30;
+            for (design, sound) in [(&clean, true), (&looped, false)] {
+                let sealed = audited_once(&mut server, |s| {
+                    s.serve_design_sealed(customer, day, &vendor_key, design, &config, None)
+                });
+                assert_eq!(sealed, licensed && sound, "sealed {customer} day {day}");
+                // A dirty lint report is served, not refused.
+                let linted = audited_once(&mut server, |s| {
+                    s.serve_lint_report(customer, day, design, &config)
+                });
+                assert_eq!(linted, licensed, "lint {customer} day {day}");
+                let timed = audited_once(&mut server, |s| {
+                    s.serve_slack_summary(customer, day, design, &constraints)
+                });
+                assert_eq!(timed, licensed && sound, "sta {customer} day {day}");
+            }
+        }
+    }
+
+    /// Runs one service call and checks it appended exactly one audit
+    /// record, metered only on success; returns whether it succeeded.
+    fn audited_once<T>(
+        server: &mut AppletServer,
+        call: impl FnOnce(&mut AppletServer) -> Result<T, CoreError>,
+    ) -> bool {
+        let (records, served) = (server.audit_log().len(), server.access_count("acme"));
+        let ok = call(server).is_ok();
+        assert_eq!(server.audit_log().len(), records + 1);
+        let outcome = &server.audit_log().last().unwrap().outcome;
+        assert_eq!(outcome.starts_with("served"), ok, "{outcome}");
+        assert_eq!(server.access_count("acme"), served + usize::from(ok));
+        ok
     }
 
     #[test]

@@ -40,9 +40,12 @@
 //!   §4.3 protection measures.
 //! - [`seal_design`] / [`AppletServer::serve_design_sealed`] — the
 //!   lint-gated delivery path: a design netlist is sealed to the
-//!   customer key only after the `ipd-lint` static analyzer finds no
-//!   unwaived error-severity problems, and the surviving
-//!   [`SealedDesign`] carries the report for audit.
+//!   customer key only after the `ipd-lint` static analyzer (plus STA,
+//!   when timing constraints are given) finds no unwaived
+//!   error-severity problems, and the surviving [`SealedDesign`]
+//!   carries the report for audit. [`seal_design_semantic`] runs the
+//!   SAT-backed lint tier instead; every sealed-design entry point
+//!   shares one gate-then-seal step that flattens and netlists once.
 //! - [`seal_design_verified`] — the equivalence-gated delivery path:
 //!   the `ipd-verify` engine proves the design functionally equivalent
 //!   to a golden reference netlist before sealing, and the
@@ -106,9 +109,7 @@ pub use remote::{
     delivery_endpoint_name, endpoints as delivery_endpoints, DeliveryClient, DeliveryService,
     RemoteLintReport, RemoteSealedDesign, RunningDelivery,
 };
-pub use seal::{
-    bundle_key, seal, seal_design, seal_design_semantic, seal_design_timed, unseal, SealedDesign,
-};
+pub use seal::{bundle_key, seal, seal_design, seal_design_semantic, unseal, SealedDesign};
 pub use session::AppletSession;
 pub use sha::{hmac_sha256, sha256, sha256_parts, to_hex};
 pub use store::{

@@ -98,14 +98,26 @@ fn core_to_wire(e: &CoreError) -> WireError {
 #[derive(Debug)]
 struct DeliveryState {
     server: AppletServer,
-    designs: HashMap<
-        String,
-        (
-            ipd_hdl::Circuit,
-            ipd_lint::LintConfig,
-            Option<ipd_lint::TimingConstraints>,
-        ),
-    >,
+    designs: HashMap<String, Arc<Registered>>,
+}
+
+/// A design registered for remote delivery, shared by reference so a
+/// request never deep-copies the circuit under the service lock.
+#[derive(Debug)]
+struct Registered {
+    circuit: ipd_hdl::Circuit,
+    lint_config: ipd_lint::LintConfig,
+    constraints: Option<ipd_lint::TimingConstraints>,
+}
+
+impl DeliveryState {
+    /// The registered design named `name`.
+    fn design(&self, name: &str) -> Result<Arc<Registered>, WireError> {
+        self.designs
+            .get(name)
+            .cloned()
+            .ok_or_else(|| WireError::app(format!("no registered design named {name}")))
+    }
 }
 
 /// An [`AppletServer`] adapted to the wire: one shared vendor state,
@@ -161,9 +173,12 @@ impl DeliveryService {
         circuit: ipd_hdl::Circuit,
         lint_config: ipd_lint::LintConfig,
     ) {
-        self.lock()
-            .designs
-            .insert(name.into(), (circuit, lint_config, None));
+        let design = Registered {
+            circuit,
+            lint_config,
+            constraints: None,
+        };
+        self.lock().designs.insert(name.into(), Arc::new(design));
     }
 
     /// Registers a design together with timing constraints: the
@@ -176,9 +191,12 @@ impl DeliveryService {
         lint_config: ipd_lint::LintConfig,
         constraints: ipd_lint::TimingConstraints,
     ) {
-        self.lock()
-            .designs
-            .insert(name.into(), (circuit, lint_config, Some(constraints)));
+        let design = Registered {
+            circuit,
+            lint_config,
+            constraints: Some(constraints),
+        };
+        self.lock().designs.insert(name.into(), Arc::new(design));
     }
 
     /// Names of registered designs, sorted.
@@ -411,20 +429,16 @@ impl DeliverySession {
     fn sealed_design(&self, body: &[u8]) -> Result<Vec<u8>, WireError> {
         let (today, design) = decode_design_request(body)?;
         let mut state = self.service.lock();
-        let (circuit, lint_config, constraints) = state
-            .designs
-            .get(&design)
-            .cloned()
-            .ok_or_else(|| WireError::app(format!("no registered design named {design}")))?;
+        let reg = state.design(&design)?;
         let sealed = state
             .server
-            .serve_design_sealed_timed(
+            .serve_design_sealed(
                 &self.customer,
                 today,
                 &self.service.vendor_key,
-                &circuit,
-                &lint_config,
-                constraints.as_ref(),
+                &reg.circuit,
+                &reg.lint_config,
+                reg.constraints.as_ref(),
             )
             .map_err(|e| core_to_wire(&e))?;
         let mut out = Vec::new();
@@ -437,14 +451,10 @@ impl DeliverySession {
     fn lint_report(&self, body: &[u8]) -> Result<Vec<u8>, WireError> {
         let (today, design) = decode_design_request(body)?;
         let mut state = self.service.lock();
-        let (circuit, lint_config, _) = state
-            .designs
-            .get(&design)
-            .cloned()
-            .ok_or_else(|| WireError::app(format!("no registered design named {design}")))?;
+        let reg = state.design(&design)?;
         let report = state
             .server
-            .serve_lint_report(&self.customer, today, &circuit, &lint_config)
+            .serve_lint_report(&self.customer, today, &reg.circuit, &reg.lint_config)
             .map_err(|e| core_to_wire(&e))?;
         let mut out = Vec::new();
         codec::put_str(&mut out, &report.summary());
@@ -456,19 +466,15 @@ impl DeliverySession {
     fn sta_report(&self, body: &[u8]) -> Result<Vec<u8>, WireError> {
         let (today, design) = decode_design_request(body)?;
         let mut state = self.service.lock();
-        let (circuit, _, constraints) = state
-            .designs
-            .get(&design)
-            .cloned()
-            .ok_or_else(|| WireError::app(format!("no registered design named {design}")))?;
-        let constraints = constraints.ok_or_else(|| {
+        let reg = state.design(&design)?;
+        let constraints = reg.constraints.as_ref().ok_or_else(|| {
             WireError::app(format!(
                 "design {design} has no timing constraints registered"
             ))
         })?;
         let summary = state
             .server
-            .serve_slack_summary(&self.customer, today, &circuit, &constraints)
+            .serve_slack_summary(&self.customer, today, &reg.circuit, constraints)
             .map_err(|e| core_to_wire(&e))?;
         Ok(encode_slack_summary(&summary))
     }
@@ -904,6 +910,7 @@ fn encode_design_request(today: u32, design: &str) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::capability::CapabilitySet;
+    use crate::seal::tests::chained_circuit;
     use ipd_hdl::{Circuit, PortSpec};
     use ipd_techlib::LogicCtx;
 
@@ -1026,24 +1033,6 @@ mod tests {
         assert!(log.iter().any(|r| r.outcome.contains("lint report")));
     }
 
-    /// FF -> `depth` inverters -> FF, one clock.
-    fn chained_design(depth: usize) -> Circuit {
-        let mut c = Circuit::new("chain");
-        let mut ctx = c.root_ctx();
-        let clk = ctx.add_port(PortSpec::input("clk", 1)).unwrap();
-        let d = ctx.add_port(PortSpec::input("d", 1)).unwrap();
-        let q = ctx.add_port(PortSpec::output("q", 1)).unwrap();
-        let mut cur: ipd_hdl::Signal = ctx.wire("s0", 1).into();
-        ctx.fd(clk, d, cur.clone()).unwrap();
-        for i in 0..depth {
-            let nxt = ctx.wire(&format!("s{}", i + 1), 1);
-            ctx.inv(cur, nxt).unwrap();
-            cur = nxt.into();
-        }
-        ctx.fd(clk, cur, q).unwrap();
-        c
-    }
-
     #[test]
     fn sta_summary_round_trips_and_timing_gates_sealed_designs() {
         let (running, service) = start();
@@ -1051,7 +1040,7 @@ mod tests {
         constraints.clock("clk", 3.0, "clk");
         service.register_design_timed(
             "chain",
-            chained_design(16),
+            chained_circuit(16),
             ipd_lint::LintConfig::default(),
             constraints,
         );
@@ -1059,7 +1048,7 @@ mod tests {
 
         // The wire summary is bit-identical to the local analysis.
         let remote = client.sta_summary(30, "chain").expect("sta summary");
-        let local = ipd_estimate::analyze_timing(&chained_design(16), &{
+        let local = ipd_estimate::analyze_timing(&chained_circuit(16), &{
             let mut t = ipd_estimate::TimingConstraints::new();
             t.clock("clk", 3.0, "clk");
             t

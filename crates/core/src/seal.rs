@@ -8,7 +8,7 @@
 //! (encrypt-then-MAC) — implemented in-repo like the rest of the
 //! crypto substrate.
 
-use ipd_hdl::Circuit;
+use ipd_hdl::{Circuit, FlatNetlist};
 use ipd_lint::{LintConfig, LintReport, Linter, OracleOptions, TimingConstraints};
 
 use crate::error::CoreError;
@@ -99,30 +99,18 @@ impl SealedDesign {
 /// key. A vendor must never ship a structurally broken design; waivers
 /// in `config` are the explicit, auditable escape hatch.
 ///
+/// When `constraints` are given, the STA engine runs as a lint pass
+/// too ([`Linter::with_timing`]) and unwaived setup violations block
+/// sealing exactly like structural errors. A design that misses timing
+/// is as undeliverable as one with contention — unless the vendor
+/// waives the violation explicitly (auditable in the shipped report)
+/// or re-pipelines the generator until slack is met.
+///
 /// # Errors
 ///
 /// [`CoreError::LintRejected`] when unwaived lint errors exist;
 /// otherwise propagates flattening and netlisting failures.
 pub fn seal_design(
-    circuit: &Circuit,
-    config: &LintConfig,
-    key: &[u8; 32],
-    nonce: u64,
-) -> Result<SealedDesign, CoreError> {
-    seal_design_timed(circuit, config, None, key, nonce)
-}
-
-/// [`seal_design`] with an additional timing gate: when `constraints`
-/// are given, the STA engine runs as a lint pass and unwaived setup
-/// violations block sealing exactly like structural errors. A design
-/// that misses timing is as undeliverable as one with contention —
-/// unless the vendor waives the violation explicitly (auditable in the
-/// shipped report) or re-pipelines the generator until slack is met.
-///
-/// # Errors
-///
-/// As for [`seal_design`].
-pub fn seal_design_timed(
     circuit: &Circuit,
     config: &LintConfig,
     constraints: Option<&TimingConstraints>,
@@ -133,18 +121,8 @@ pub fn seal_design_timed(
         Some(t) => Linter::with_timing(config.clone(), t.clone()),
         None => Linter::with_config(config.clone()),
     };
-    let report = linter.run(circuit)?;
-    if report.error_count() > 0 {
-        return Err(CoreError::LintRejected {
-            errors: report.error_count(),
-            summary: report.summary(),
-        });
-    }
-    let edif = ipd_netlist::NetlistFormat::Edif.generate(circuit)?;
-    Ok(SealedDesign {
-        sealed: seal(edif.as_bytes(), key, nonce),
-        report,
-    })
+    let flat = FlatNetlist::build(circuit)?;
+    Ok(gate_and_seal(circuit, &flat, &linter, key, nonce)?.0)
 }
 
 /// [`seal_design`] with the semantic lint tier enabled: the linter
@@ -165,8 +143,25 @@ pub fn seal_design_semantic(
     key: &[u8; 32],
     nonce: u64,
 ) -> Result<SealedDesign, CoreError> {
+    let flat = FlatNetlist::build(circuit)?;
     let linter = Linter::with_oracle(config.clone(), opts);
-    let report = linter.run(circuit)?;
+    Ok(gate_and_seal(circuit, &flat, &linter, key, nonce)?.0)
+}
+
+/// The one gate-then-seal step behind every sealed-design entry point:
+/// runs `linter` over the already-flattened `flat`, refuses unwaived
+/// errors, then netlists `circuit` to EDIF once and seals it. Returns
+/// the sealed design and the EDIF text inside the seal, so a caller
+/// can bind further evidence (an equivalence certificate) to exactly
+/// the shipped bytes without netlisting again.
+pub(crate) fn gate_and_seal(
+    circuit: &Circuit,
+    flat: &FlatNetlist,
+    linter: &Linter,
+    key: &[u8; 32],
+    nonce: u64,
+) -> Result<(SealedDesign, String), CoreError> {
+    let report = linter.run_flat(flat);
     if report.error_count() > 0 {
         return Err(CoreError::LintRejected {
             errors: report.error_count(),
@@ -174,10 +169,11 @@ pub fn seal_design_semantic(
         });
     }
     let edif = ipd_netlist::NetlistFormat::Edif.generate(circuit)?;
-    Ok(SealedDesign {
+    let sealed = SealedDesign {
         sealed: seal(edif.as_bytes(), key, nonce),
         report,
-    })
+    };
+    Ok((sealed, edif))
 }
 
 /// XORs the HMAC-counter keystream over a buffer (symmetric for
@@ -201,13 +197,15 @@ fn apply_keystream(data: &mut [u8], key: &[u8; 32], nonce: u64) {
     }
 }
 
+/// Sealed-delivery unit tests, plus the design fixtures the other
+/// delivery tests in this crate share.
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::capability::CapabilitySet;
     use crate::license::LicenseAuthority;
 
-    fn key() -> [u8; 32] {
+    pub(crate) fn key() -> [u8; 32] {
         let authority = LicenseAuthority::new(b"vendor".to_vec());
         let license = authority.issue("acme", "kcm", CapabilitySet::passive(), 0, 10);
         bundle_key(b"vendor", &license)
@@ -255,7 +253,7 @@ mod tests {
 
     /// A circuit with a contended net: `multiple-drivers` is an
     /// error-severity finding.
-    fn broken_circuit() -> ipd_hdl::Circuit {
+    pub(crate) fn broken_circuit() -> ipd_hdl::Circuit {
         use ipd_techlib::LogicCtx;
         let mut c = ipd_hdl::Circuit::new("broken");
         let mut ctx = c.root_ctx();
@@ -269,7 +267,7 @@ mod tests {
     #[test]
     fn seal_design_refuses_unwaived_lint_errors() {
         let key = key();
-        let err = seal_design(&broken_circuit(), &LintConfig::new(), &key, 1).unwrap_err();
+        let err = seal_design(&broken_circuit(), &LintConfig::new(), None, &key, 1).unwrap_err();
         match err {
             CoreError::LintRejected { errors, summary } => {
                 assert_eq!(errors, 1);
@@ -290,7 +288,7 @@ mod tests {
             "broken/y",
             "legacy contention, customer accepts",
         );
-        let sealed = seal_design(&broken_circuit(), &config, &key, 2).expect("waived");
+        let sealed = seal_design(&broken_circuit(), &config, None, &key, 2).expect("waived");
         assert_eq!(sealed.report().error_count(), 0);
         assert_eq!(sealed.report().waived().len(), 1);
         // The payload unseals to the EDIF netlist.
@@ -300,13 +298,13 @@ mod tests {
         // A clean generator output needs no waivers at all.
         let kcm = ipd_modgen::KcmMultiplier::new(-56, 8, 12).signed(true);
         let circuit = ipd_hdl::Circuit::from_generator(&kcm).unwrap();
-        let sealed = seal_design(&circuit, &LintConfig::new(), &key, 3).expect("clean");
+        let sealed = seal_design(&circuit, &LintConfig::new(), None, &key, 3).expect("clean");
         assert!(sealed.report().is_clean());
         assert!(sealed.report().diags().is_empty());
     }
 
     /// FF -> `depth` inverters -> FF on one clock: fails tight periods.
-    fn chained_circuit(depth: usize) -> ipd_hdl::Circuit {
+    pub(crate) fn chained_circuit(depth: usize) -> ipd_hdl::Circuit {
         use ipd_techlib::LogicCtx;
         let mut c = ipd_hdl::Circuit::new("chain");
         let mut ctx = c.root_ctx();
@@ -335,7 +333,7 @@ mod tests {
         let key = key();
         let slow = chained_circuit(24);
         // Unwaived setup violations block sealing...
-        let err = seal_design_timed(
+        let err = seal_design(
             &slow,
             &LintConfig::new(),
             Some(&tight_constraints()),
@@ -352,7 +350,7 @@ mod tests {
             "evaluation build, timing not contractual",
         );
         let sealed =
-            seal_design_timed(&slow, &config, Some(&tight_constraints()), &key, 5).expect("waived");
+            seal_design(&slow, &config, Some(&tight_constraints()), &key, 5).expect("waived");
         assert!(sealed
             .report()
             .waived()
@@ -360,7 +358,7 @@ mod tests {
             .any(|d| d.rule == "setup-violation"));
         // ...and a re-pipelined (shallower) design meets timing as-is.
         let fast = chained_circuit(2);
-        let sealed = seal_design_timed(
+        let sealed = seal_design(
             &fast,
             &LintConfig::new(),
             Some(&tight_constraints()),
@@ -369,8 +367,8 @@ mod tests {
         )
         .expect("meets timing");
         assert!(sealed.report().is_clean());
-        // Without constraints the timed entry point is plain seal_design.
-        seal_design(&slow, &LintConfig::new(), &key, 7).expect("untimed");
+        // Without constraints the same entry point ignores slack.
+        seal_design(&slow, &LintConfig::new(), None, &key, 7).expect("untimed");
     }
 
     #[test]

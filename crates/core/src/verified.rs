@@ -1,7 +1,7 @@
 //! Equivalence-gated delivery — the strongest of the delivery gates.
 //!
 //! The lint gate ([`crate::seal_design`]) proves a design is not
-//! structurally broken; the timing gate ([`crate::seal_design_timed`])
+//! structurally broken; given timing constraints, the same entry point
 //! proves it meets its clock. This module adds the functional gate: a
 //! design is sealed only after the `ipd-verify` engine *proves* it
 //! computes the same function as a golden reference netlist, and the
@@ -17,11 +17,11 @@
 //! counterexample would be a lie, not a delivery.
 
 use ipd_hdl::{Circuit, FlatNetlist};
-use ipd_lint::LintConfig;
+use ipd_lint::{LintConfig, Linter};
 use ipd_verify::{check_equiv, Counterexample, EquivConfig, EquivVerdict};
 
 use crate::error::CoreError;
-use crate::seal::{seal_design, SealedDesign};
+use crate::seal::{gate_and_seal, SealedDesign};
 use crate::sha::{sha256_parts, to_hex};
 
 /// Domain separator binding certificate digests; versioned so a future
@@ -191,10 +191,11 @@ fn render_vector(cex: &Counterexample) -> String {
 }
 
 /// Seals a design for delivery only after proving it formally
-/// equivalent to `golden` — and, as with [`seal_design`], only after
-/// the lint gate clears it. On success the returned [`VerifiedDesign`]
-/// pairs the sealed EDIF payload with an [`EquivCertificate`] whose
-/// revised-side digest covers exactly the bytes inside the seal.
+/// equivalent to `golden` — and, as with [`crate::seal_design`], only
+/// after the lint gate clears it. On success the returned
+/// [`VerifiedDesign`] pairs the sealed EDIF payload with an
+/// [`EquivCertificate`] whose revised-side digest covers exactly the
+/// bytes inside the seal.
 ///
 /// # Errors
 ///
@@ -203,7 +204,7 @@ fn render_vector(cex: &Counterexample) -> String {
 /// `equiv.replay` is set); [`CoreError::Verify`] when the check cannot
 /// be carried out (boundary mismatch, combinational loop, black box,
 /// SAT budget); [`CoreError::LintRejected`] and flattening/netlisting
-/// failures as for [`seal_design`].
+/// failures as for [`crate::seal_design`].
 pub fn seal_design_verified(
     circuit: &Circuit,
     golden: &Circuit,
@@ -222,11 +223,11 @@ pub fn seal_design_verified(
             vector: render_vector(cex),
         });
     }
-    let sealed = seal_design(circuit, config, key, nonce)?;
-    // The certificate commits to the exact EDIF text sealed above —
-    // `seal_design` generates the same deterministic netlist.
+    // Lint gates the same flattened netlist the proof ran on, and the
+    // certificate commits to exactly the EDIF text sealed.
+    let linter = Linter::with_config(config.clone());
+    let (sealed, revised_edif) = gate_and_seal(circuit, &revised_flat, &linter, key, nonce)?;
     let golden_edif = ipd_netlist::NetlistFormat::Edif.generate(golden)?;
-    let revised_edif = ipd_netlist::NetlistFormat::Edif.generate(circuit)?;
     let certificate = EquivCertificate::bind(
         revised_flat.design_name(),
         golden_flat.design_name(),
@@ -243,17 +244,10 @@ pub fn seal_design_verified(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capability::CapabilitySet;
-    use crate::license::LicenseAuthority;
-    use crate::seal::{bundle_key, unseal};
+    use crate::seal::tests::key;
+    use crate::seal::unseal;
     use ipd_hdl::PortSpec;
     use ipd_techlib::LogicCtx;
-
-    fn key() -> [u8; 32] {
-        let authority = LicenseAuthority::new(b"vendor".to_vec());
-        let license = authority.issue("acme", "kcm", CapabilitySet::passive(), 0, 10);
-        bundle_key(b"vendor", &license)
-    }
 
     /// `y = a & b` as a gate, a LUT2 resynthesis, or (faulty) `a | b`.
     fn unit(kind: &str) -> Circuit {

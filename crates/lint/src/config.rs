@@ -281,6 +281,38 @@ mod tests {
         assert_eq!(config.max_port_width, 48);
         assert_eq!(config.to_text(), text);
         assert_eq!(LintConfig::parse(&config.to_text()), Ok(config));
+
+        // Random configurations round-trip, and a mutation of their
+        // text parses to `Ok` or a message, never a panic.
+        ipd_testutil::check_n("lintrc", 400, |rng| {
+            let word = |rng: &mut ipd_testutil::XorShift64| -> String {
+                (0..=rng.index(8))
+                    .map(|_| char::from(b"abz09-_/*[]."[rng.index(12)]))
+                    .collect()
+            };
+            let mut config = LintConfig::new();
+            config.max_fanout = rng.index(1000);
+            config.max_port_width = rng.index(1000) as u32;
+            for _ in 0..rng.index(4) {
+                let levels = [LintLevel::Allow, LintLevel::Warning, LintLevel::Error];
+                config.set_level(word(rng), levels[rng.index(3)]);
+            }
+            for _ in 0..rng.index(4) {
+                let reason: Vec<String> = (0..=rng.index(3)).map(|_| word(rng)).collect();
+                config.waive(word(rng), word(rng), reason.join(" "));
+            }
+            let text = config.to_text();
+            assert_eq!(LintConfig::parse(&text), Ok(config), "{text}");
+
+            let mut bytes = text.into_bytes();
+            let at = rng.index(bytes.len());
+            match rng.index(3) {
+                0 => bytes.truncate(at),
+                1 => bytes[at] ^= 1 << rng.index(8),
+                _ => bytes[at] = b" \n#0123456789"[rng.index(13)],
+            }
+            let _ = LintConfig::parse(&String::from_utf8_lossy(&bytes));
+        });
     }
 
     #[test]

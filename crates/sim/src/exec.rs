@@ -322,8 +322,8 @@ fn eval_op(p: &Program, nets: &[Planes4], words: &[[Planes4; 16]], i: usize) -> 
 
 /// A 256-lane compiled simulator: bit-exact with the scalar
 /// [`Simulator`](crate::Simulator) lane for lane (including `X`/`Z`
-/// propagation) while running the flat program described in the
-/// [module docs](self).
+/// propagation) while running a flat, straight-line program lowered
+/// from the [`NetlistGraph`](crate::NetlistGraph).
 ///
 /// It records no waveforms; runs that need traces use the scalar
 /// simulator.

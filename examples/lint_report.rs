@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut server = AppletServer::new("byu", vendor_key.clone());
     server.enroll("acme", "latch", CapabilitySet::licensed(), 0, 365);
     let strict = LintConfig::new();
-    match server.serve_design_sealed("acme", 10, &vendor_key, &latch, &strict) {
+    match server.serve_design_sealed("acme", 10, &vendor_key, &latch, &strict, None) {
         Err(CoreError::LintRejected { errors, summary }) => {
             println!("\nrefused to seal: {errors} error(s) — {summary}");
         }
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("\nlatch, waived:");
     print!("{}", Linter::with_config(waived.clone()).run(&latch)?);
-    let sealed = server.serve_design_sealed("acme", 11, &vendor_key, &latch, &waived)?;
+    let sealed = server.serve_design_sealed("acme", 11, &vendor_key, &latch, &waived, None)?;
     println!(
         "sealed {} bytes; shipped report: {}",
         sealed.bytes().len(),

@@ -2,6 +2,8 @@
 //! in-repo deterministic RNG (`ipd-testutil`) so the suite runs with
 //! zero registry dependencies.
 
+use std::cell::Cell;
+
 use ipd::core::{CapabilitySet, LicenseAuthority};
 use ipd::hdl::{Circuit, FlatNetlist};
 use ipd::modgen::{ArrayMultiplier, KcmMultiplier, RippleAdder};
@@ -214,4 +216,53 @@ fn obfuscation_preserves_function() {
             s2.peek("product").expect("hidden")
         );
     });
+}
+
+/// The EDIF reader sits at the trust boundary (customers hand netlists
+/// back): truncated, bit-flipped, byte-deleted or delimiter/digit-
+/// substituted golden fixtures must read and flatten to `Ok` or a typed
+/// error, never a panic.
+#[test]
+fn mutated_edif_never_panics() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/golden");
+    let mut paths: Vec<_> = std::fs::read_dir(&dir)
+        .expect("golden fixtures")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    paths.sort();
+    let fixtures: Vec<Vec<u8>> = paths
+        .iter()
+        .map(|p| std::fs::read(p).expect("fixture"))
+        .collect();
+    assert!(!fixtures.is_empty());
+    let (parsed, refused) = (Cell::new(0), Cell::new(0));
+    check_n("mutated_edif", 100 * fixtures.len() as u32, |rng| {
+        let mut bytes = fixtures[rng.index(fixtures.len())].clone();
+        for _ in 0..=rng.index(3) {
+            let at = rng.index(bytes.len().max(1));
+            match rng.index(4) {
+                0 => bytes.truncate(at),
+                1 if at < bytes.len() => bytes[at] ^= 1 << rng.index(8),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                3 if at < bytes.len() => bytes[at] = b"()[]\"0123456789"[rng.index(15)],
+                _ => {}
+            }
+        }
+        match ipd::netlist::read_edif(&String::from_utf8_lossy(&bytes)) {
+            Ok(circuit) => {
+                let _ = FlatNetlist::build(&circuit);
+                parsed.set(parsed.get() + 1);
+            }
+            Err(_) => refused.set(refused.get() + 1),
+        }
+    });
+    // Both outcomes occur, so the mutations neither all miss nor all
+    // destroy the syntax.
+    let (parsed, refused) = (parsed.get(), refused.get());
+    assert!(
+        parsed > 0 && refused > 0,
+        "parsed {parsed}, refused {refused}"
+    );
 }
