@@ -11,11 +11,21 @@
 //!
 //! Prints an explicit cold-vs-warm speedup so the X5 acceptance bar
 //! (warm ≥ 5× cold) is checkable from the bench output alone.
+//!
+//! A fifth row, `seal/seal_kcm_w16`, seals the kcm_w16 EDIF netlist
+//! (~92 KB) to a customer key: the cipher stage of every sealed-design
+//! delivery. Its MB/s figure is written as `seal_kcm_w16_mbps` to a
+//! flat JSON summary (`IPD_BENCH_OUT`, default `BENCH_delivery.json`)
+//! for `bench_gate` to compare against the committed baseline.
 
+use std::io::Write as _;
 use std::time::Instant;
 
+use ipd_bench::full_width_kcm;
 use ipd_bench::harness::{black_box, Harness, Throughput};
 use ipd_core::AppletServer;
+use ipd_hdl::Circuit;
+use ipd_netlist::NetlistFormat;
 use ipd_pack::{BundleSet, PackedSet};
 
 fn main() {
@@ -28,7 +38,7 @@ fn main() {
     let threads = ipd_pack::default_threads().max(2);
 
     let mut server = AppletServer::new("byu", b"bench-key".to_vec());
-    server.enroll("acme", "kcm", ipd_core::CapabilitySet::licensed(), 0, 365);
+    let license = server.enroll("acme", "kcm", ipd_core::CapabilitySet::licensed(), 0, 365);
     // Prime the store once so the warm benchmarks measure serving, not
     // the first compression.
     let warm = server.fetch("acme", 1, &[]).expect("prime");
@@ -57,6 +67,21 @@ fn main() {
     });
     group.finish();
 
+    let kcm_w16 =
+        Circuit::from_generator(&full_width_kcm(-12345, 16, true)).expect("kcm elaborates");
+    let edif = NetlistFormat::Edif
+        .generate(&kcm_w16)
+        .expect("kcm netlists");
+    let key = ipd_core::bundle_key(b"bench-key", &license);
+    let mut group = c.benchmark_group("seal");
+    group.throughput(Throughput::Bytes(edif.len() as u64));
+    let seal_mean = group.bench_function("seal_kcm_w16", |b| {
+        b.iter(|| black_box(ipd_core::seal(edif.as_bytes(), &key, 1).len()))
+    });
+    group.finish();
+    let seal_mbps = edif.len() as f64 / 1e6 / seal_mean.as_secs_f64().max(1e-12);
+    write_json("seal_kcm_w16_mbps", seal_mbps);
+
     // Direct cold-vs-warm comparison over identical served bytes.
     let reps = 10u32;
     let cold_start = Instant::now();
@@ -81,4 +106,12 @@ fn main() {
     println!("warm store fetch         : {warm:?}/set");
     println!("warm-vs-cold speedup     : {speedup:.0}x (acceptance: >= 5x)");
     println!("{}", server.store().stats());
+}
+
+/// Writes the gated figure as the flat JSON `bench_gate` reads.
+fn write_json(key: &str, value: f64) {
+    let path = std::env::var("IPD_BENCH_OUT").unwrap_or_else(|_| "BENCH_delivery.json".to_owned());
+    let mut file = std::fs::File::create(&path).expect("create bench JSON");
+    writeln!(file, "{{\n  \"{key}\": {value:.2}\n}}").expect("write bench JSON");
+    println!("wrote {path}");
 }

@@ -4,10 +4,10 @@
 //! `sim_fleet`) against the committed baselines and exits nonzero
 //! when any throughput figure regresses by more than the allowed
 //! fraction (default 30%). Only throughput keys gate — `*_rps`
-//! (requests/s), `*_vps` (vectors/s), `*_cps` (equivalence checks/s)
-//! and `*_pps` (place-and-route passes/s); latency figures
-//! (`*_p99_us`) are reported but too noisy on shared CI runners to
-//! fail a build on.
+//! (requests/s), `*_vps` (vectors/s), `*_cps` (equivalence checks/s),
+//! `*_pps` (place-and-route passes/s) and `*_mbps` (megabytes/s);
+//! latency figures (`*_p99_us`) are reported but too noisy on shared
+//! CI runners to fail a build on.
 //!
 //! Usage (repeat `--suite` for each baseline/current pair):
 //!
@@ -25,8 +25,8 @@ use std::process::ExitCode;
 
 /// Key suffixes that gate the build (throughput: higher is better) —
 /// requests/s, vectors/s, equivalence checks/s, place-and-route
-/// passes/s.
-const GATED_SUFFIXES: &[&str] = &["_rps", "_vps", "_cps", "_pps"];
+/// passes/s, megabytes/s.
+const GATED_SUFFIXES: &[&str] = &["_rps", "_vps", "_cps", "_pps", "_mbps"];
 
 /// Key suffixes shown for information only.
 const INFO_SUFFIXES: &[&str] = &["_p99_us"];

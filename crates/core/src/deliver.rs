@@ -641,6 +641,46 @@ mod tests {
         }
     }
 
+    /// Two different designs sealed for one customer on one day share
+    /// the day-number nonce. Under a nonce-derived keystream that
+    /// leaked XOR(plaintexts) as XOR(ciphertexts); the synthetic IV
+    /// gives each payload its own keystream.
+    #[test]
+    fn same_day_designs_get_distinct_ivs_and_keystreams() {
+        use crate::seal::{HEADER_LEN, IV};
+        let vendor_key = b"vendor-key".to_vec();
+        let mut server = AppletServer::new("byu", vendor_key.clone());
+        let license = server.enroll("acme", "kcm", CapabilitySet::licensed(), 0, 365);
+        let key = crate::seal::bundle_key(&vendor_key, &license);
+        let config = ipd_lint::LintConfig::new();
+        let mut sealed = Vec::new();
+        for constant in [-56, 77] {
+            let kcm = ipd_modgen::KcmMultiplier::new(constant, 8, 12).signed(true);
+            let circuit = ipd_hdl::Circuit::from_generator(&kcm).unwrap();
+            let design = server
+                .serve_design_sealed("acme", 100, &vendor_key, &circuit, &config, None)
+                .expect("clean design serves");
+            let bytes = design.bytes().to_vec();
+            let plain = crate::seal::unseal(&bytes, &key).expect("unseal");
+            sealed.push((bytes, plain));
+        }
+        let (a, plain_a) = &sealed[0];
+        let (b, plain_b) = &sealed[1];
+        assert_ne!(plain_a, plain_b, "the probe needs different payloads");
+        assert_ne!(a[IV], b[IV], "distinct plaintexts must get distinct IVs");
+        let cipher_xor = a[HEADER_LEN..]
+            .iter()
+            .zip(&b[HEADER_LEN..])
+            .map(|(x, y)| x ^ y);
+        let plain_xor = plain_a.iter().zip(plain_b).map(|(x, y)| x ^ y);
+        let compared = plain_a.len().min(plain_b.len());
+        let agreeing = cipher_xor.zip(plain_xor).filter(|(c, p)| c == p).count();
+        assert!(
+            agreeing < compared / 16,
+            "XOR(ciphertexts) matched XOR(plaintexts) on {agreeing} of {compared} bytes"
+        );
+    }
+
     #[test]
     fn design_delivery_is_lint_gated() {
         let vendor_key = b"vendor-key".to_vec();

@@ -19,6 +19,12 @@ pub enum CoreError {
         /// Why verification failed.
         reason: String,
     },
+    /// A sealed payload's container version is not one this build
+    /// can open (a newer or corrupted container).
+    SealVersion {
+        /// The version byte found.
+        version: u8,
+    },
     /// A license is past its expiry day.
     LicenseExpired {
         /// Expiry day (days since epoch).
@@ -108,6 +114,9 @@ impl fmt::Display for CoreError {
                 write!(f, "operation requires the {capability} capability, which this executable does not grant")
             }
             CoreError::LicenseInvalid { reason } => write!(f, "invalid license: {reason}"),
+            CoreError::SealVersion { version } => {
+                write!(f, "sealed bundle has unknown container version {version}")
+            }
             CoreError::LicenseExpired { expiry_day, today } => {
                 write!(
                     f,

@@ -3,17 +3,44 @@
 //! intercepted download (or a shared cache) yields nothing without the
 //! license.
 //!
-//! The cipher is a keystream built from HMAC-SHA-256 in counter mode
-//! with an authentication tag over the ciphertext
-//! (encrypt-then-MAC) — implemented in-repo like the rest of the
-//! crypto substrate.
+//! The cipher is deterministic authenticated encryption in the SIV
+//! (synthetic-IV) style, built from HMAC-SHA-256 alone and implemented
+//! in-repo like the rest of the crypto substrate:
+//!
+//! - The bundle key is split into an encryption subkey and a MAC
+//!   subkey, so no key both encrypts and authenticates.
+//! - The synthetic IV is `HMAC(mac_key, version ‖ nonce ‖ plaintext)`.
+//!   It is the authentication tag, and it seeds the keystream, so two
+//!   payloads share a keystream only when they share their plaintext
+//!   and nonce. Reusing a nonce (a day number, a bundle index) for
+//!   different payloads under one key therefore leaks nothing about
+//!   their plaintexts.
+//! - Keystream block `i` is `HMAC(enc_key, iv[..16] ‖ i)` with `i` a
+//!   64-bit little-endian counter, XORed over the payload.
+//! - The container is `version (1) ‖ nonce (8) ‖ iv (32) ‖ ciphertext`.
+//!   [`unseal`] refuses any version it does not know with
+//!   [`CoreError::SealVersion`].
+//!
+//! Both subkeys are keyed once per call ([`HmacSha256`] keeps the ipad
+//! and opad midstates), so each 32-byte block costs one compression for
+//! its keystream's inner hash, one for the outer hash, and half a
+//! compression for the IV pass over the plaintext.
 
 use ipd_hdl::{Circuit, FlatNetlist};
 use ipd_lint::{LintConfig, LintReport, Linter, OracleOptions, TimingConstraints};
 
 use crate::error::CoreError;
 use crate::license::License;
-use crate::sha::hmac_sha256;
+use crate::sha::{hmac_sha256, HmacSha256};
+
+/// The container version [`seal`] writes and [`unseal`] accepts.
+const SEAL_VERSION: u8 = 1;
+
+/// Byte ranges of the container header.
+pub(crate) const NONCE: std::ops::Range<usize> = 1..9;
+pub(crate) const IV: std::ops::Range<usize> = 9..41;
+/// `version ‖ nonce ‖ iv`: where the ciphertext starts.
+pub(crate) const HEADER_LEN: usize = IV.end;
 
 /// Derives the per-customer bundle key from the vendor key and a
 /// license (customer + product bound).
@@ -27,16 +54,20 @@ pub fn bundle_key(vendor_key: &[u8], license: &License) -> [u8; 32] {
 
 /// Encrypts and authenticates a bundle payload.
 ///
-/// Layout: `nonce (8) || ciphertext || tag (32)`.
+/// Layout: `version (1) || nonce (8) || iv (32) || ciphertext`. The
+/// output is a function of `(plain, key, nonce)` alone: sealing the
+/// same payload twice yields the same bytes, and different payloads
+/// get different IVs and keystreams even under a repeated nonce.
 #[must_use]
 pub fn seal(plain: &[u8], key: &[u8; 32], nonce: u64) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + plain.len() + 32);
+    let keys = SealKeys::derive(key);
+    let iv = keys.synthetic_iv(nonce, plain);
+    let mut out = Vec::with_capacity(HEADER_LEN + plain.len());
+    out.push(SEAL_VERSION);
     out.extend_from_slice(&nonce.to_le_bytes());
-    let mut cipher = plain.to_vec();
-    apply_keystream(&mut cipher, key, nonce);
-    out.extend_from_slice(&cipher);
-    let tag = hmac_sha256(key, &out);
-    out.extend_from_slice(&tag);
+    out.extend_from_slice(&iv);
+    out.extend_from_slice(plain);
+    keys.apply_keystream(&mut out[HEADER_LEN..], &iv);
     out
 }
 
@@ -44,30 +75,78 @@ pub fn seal(plain: &[u8], key: &[u8; 32], nonce: u64) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::LicenseInvalid`] when the container is
-/// malformed or the authentication tag does not match (wrong customer
-/// key or tampering).
+/// Returns [`CoreError::SealVersion`] when the container's version
+/// byte is not one this build writes, and [`CoreError::LicenseInvalid`]
+/// when the container is truncated or the synthetic IV does not match
+/// the decrypted payload (wrong customer key or tampering).
 pub fn unseal(sealed: &[u8], key: &[u8; 32]) -> Result<Vec<u8>, CoreError> {
-    if sealed.len() < 8 + 32 {
-        return Err(CoreError::LicenseInvalid {
-            reason: "sealed bundle too short".to_owned(),
-        });
+    let invalid = |reason: &str| CoreError::LicenseInvalid {
+        reason: reason.to_owned(),
+    };
+    match sealed.first() {
+        Some(&SEAL_VERSION) => {}
+        Some(&version) => return Err(CoreError::SealVersion { version }),
+        None => return Err(invalid("sealed bundle too short")),
     }
-    let (body, tag) = sealed.split_at(sealed.len() - 32);
-    let expected = hmac_sha256(key, body);
+    if sealed.len() < HEADER_LEN {
+        return Err(invalid("sealed bundle too short"));
+    }
+    let nonce = u64::from_le_bytes(sealed[NONCE].try_into().expect("length checked"));
+    let iv: [u8; 32] = sealed[IV].try_into().expect("length checked");
+    let keys = SealKeys::derive(key);
+    let mut plain = sealed[HEADER_LEN..].to_vec();
+    keys.apply_keystream(&mut plain, &iv);
+    let expected = keys.synthetic_iv(nonce, &plain);
     let mut diff = 0u8;
-    for (a, b) in expected.iter().zip(tag) {
+    for (a, b) in expected.iter().zip(&iv) {
         diff |= a ^ b;
     }
     if diff != 0 {
-        return Err(CoreError::LicenseInvalid {
-            reason: "sealed bundle authentication failed".to_owned(),
-        });
+        return Err(invalid("sealed bundle authentication failed"));
     }
-    let nonce = u64::from_le_bytes(body[..8].try_into().expect("length checked"));
-    let mut plain = body[8..].to_vec();
-    apply_keystream(&mut plain, key, nonce);
     Ok(plain)
+}
+
+/// The encryption and MAC subkeys of one bundle key, keyed once per
+/// [`seal`] / [`unseal`] call.
+struct SealKeys {
+    enc: HmacSha256,
+    mac: HmacSha256,
+}
+
+impl SealKeys {
+    fn derive(key: &[u8; 32]) -> Self {
+        let root = HmacSha256::new(key);
+        SealKeys {
+            enc: HmacSha256::new(&root.mac(b"ipd-seal|enc")),
+            mac: HmacSha256::new(&root.mac(b"ipd-seal|mac")),
+        }
+    }
+
+    /// `HMAC(mac_key, version ‖ nonce ‖ plaintext)`, streamed over the
+    /// payload in place.
+    fn synthetic_iv(&self, nonce: u64, plain: &[u8]) -> [u8; 32] {
+        let mut mac = self.mac.clone();
+        mac.update(&[SEAL_VERSION]);
+        mac.update(&nonce.to_le_bytes());
+        mac.update(plain);
+        mac.finalize()
+    }
+
+    /// XORs the keystream seeded by `iv` over a buffer (symmetric for
+    /// encrypt and decrypt). Each block's MAC input,
+    /// `iv[..16] ‖ counter`, fits one inner SHA-256 block.
+    fn apply_keystream(&self, data: &mut [u8], iv: &[u8; 32]) {
+        let mut input = [0u8; 24];
+        input[..16].copy_from_slice(&iv[..16]);
+        for (counter, chunk) in (0u64..).zip(data.chunks_mut(32)) {
+            input[16..].copy_from_slice(&counter.to_le_bytes());
+            let block = self.enc.mac(&input);
+            for (byte, k) in chunk.iter_mut().zip(block) {
+                *byte ^= k;
+            }
+        }
+    }
 }
 
 /// A design netlist sealed for delivery, carrying the lint report that
@@ -79,7 +158,7 @@ pub struct SealedDesign {
 }
 
 impl SealedDesign {
-    /// The sealed EDIF payload (`nonce || ciphertext || tag`).
+    /// The sealed EDIF payload (`version || nonce || iv || ciphertext`).
     #[must_use]
     pub fn bytes(&self) -> &[u8] {
         &self.sealed
@@ -176,27 +255,6 @@ pub(crate) fn gate_and_seal(
     Ok((sealed, edif))
 }
 
-/// XORs the HMAC-counter keystream over a buffer (symmetric for
-/// encrypt and decrypt).
-fn apply_keystream(data: &mut [u8], key: &[u8; 32], nonce: u64) {
-    let mut counter = 0u64;
-    let mut offset = 0usize;
-    while offset < data.len() {
-        let mut block_input = [0u8; 16];
-        block_input[..8].copy_from_slice(&nonce.to_le_bytes());
-        block_input[8..].copy_from_slice(&counter.to_le_bytes());
-        let block = hmac_sha256(key, &block_input);
-        for (i, b) in block.iter().enumerate() {
-            if offset + i >= data.len() {
-                break;
-            }
-            data[offset + i] ^= b;
-        }
-        offset += 32;
-        counter += 1;
-    }
-}
-
 /// Sealed-delivery unit tests, plus the design fixtures the other
 /// delivery tests in this crate share.
 #[cfg(test)]
@@ -247,8 +305,65 @@ pub(crate) mod tests {
         let plain = b"the same plaintext".to_vec();
         let a = seal(&plain, &key, 1);
         let b = seal(&plain, &key, 2);
-        assert_ne!(&a[8..8 + plain.len()], plain.as_slice());
-        assert_ne!(a[8..], b[8..], "nonce varies the keystream");
+        assert_ne!(&a[HEADER_LEN..HEADER_LEN + plain.len()], plain.as_slice());
+        assert_ne!(
+            a[HEADER_LEN..],
+            b[HEADER_LEN..],
+            "nonce varies the keystream"
+        );
+    }
+
+    #[test]
+    fn container_is_versioned_and_deterministic() {
+        let key = key();
+        let plain = b"netlist bytes".to_vec();
+        let sealed = seal(&plain, &key, 3);
+        assert_eq!(sealed.len(), HEADER_LEN + plain.len());
+        assert_eq!(sealed[0], SEAL_VERSION);
+        assert_eq!(sealed[NONCE], 3u64.to_le_bytes());
+        assert_eq!(
+            seal(&plain, &key, 3),
+            sealed,
+            "SIV sealing is deterministic"
+        );
+        let mut future = sealed.clone();
+        future[0] = SEAL_VERSION + 1;
+        assert!(matches!(
+            unseal(&future, &key),
+            Err(CoreError::SealVersion { version }) if version == SEAL_VERSION + 1
+        ));
+    }
+
+    #[test]
+    fn subkeys_separate_encryption_from_authentication() {
+        let key = key();
+        let keys = SealKeys::derive(&key);
+        let probe = [0u8; 24];
+        assert_ne!(keys.enc.mac(&probe), keys.mac.mac(&probe));
+        assert_ne!(keys.enc.mac(&probe), hmac_sha256(&key, &probe));
+        assert_ne!(keys.mac.mac(&probe), hmac_sha256(&key, &probe));
+    }
+
+    #[test]
+    fn midstate_keystream_matches_textbook_hmac() {
+        use crate::sha::oracle;
+        let keys = SealKeys::derive(&key());
+        let enc_key = oracle::hmac_sha256(&key(), b"ipd-seal|enc");
+        let iv: [u8; 32] = std::array::from_fn(|i| (i * 37 + 5) as u8);
+        for len in [0usize, 1, 31, 32, 33, 55, 56, 63, 64, 65, 1000] {
+            let mut stream = vec![0u8; len];
+            keys.apply_keystream(&mut stream, &iv);
+            let mut textbook = Vec::with_capacity(len + 32);
+            for counter in 0u64.. {
+                if textbook.len() >= len {
+                    break;
+                }
+                let mut block = iv[..16].to_vec();
+                block.extend_from_slice(&counter.to_le_bytes());
+                textbook.extend_from_slice(&oracle::hmac_sha256(&enc_key, &block));
+            }
+            assert_eq!(stream, textbook[..len], "len {len}");
+        }
     }
 
     /// A circuit with a contended net: `multiple-drivers` is an

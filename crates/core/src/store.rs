@@ -16,25 +16,26 @@ use std::sync::{Arc, OnceLock};
 
 use ipd_pack::{Bundle, BundleSet, PackedBundle};
 
-use crate::sha::sha256_parts;
+use crate::sha::Sha256;
 
 /// A SHA-256 content digest.
 pub type Digest = [u8; 32];
 
 /// Digest of a bundle's uncompressed contents: its name plus every
-/// entry's name and data, length-prefix framed. Any mutation — a
-/// renamed entry, a flipped byte — changes the digest, so a mutated
-/// bundle can never alias a cached one.
+/// entry's name and data, length-prefix framed as by
+/// [`crate::sha256_parts`] and streamed without copying an entry. Any
+/// mutation — a renamed entry, a flipped byte — changes the digest, so
+/// a mutated bundle can never alias a cached one.
 #[must_use]
 pub fn bundle_digest(bundle: &Bundle) -> Digest {
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(2 + 2 * bundle.archive().len());
-    parts.push(b"ipd-bundle-v1");
-    parts.push(bundle.name().as_bytes());
+    let mut hasher = Sha256::new();
+    hasher.update_part(b"ipd-bundle-v1");
+    hasher.update_part(bundle.name().as_bytes());
     for entry in bundle.archive().entries() {
-        parts.push(entry.name().as_bytes());
-        parts.push(entry.data());
+        hasher.update_part(entry.name().as_bytes());
+        hasher.update_part(entry.data());
     }
-    sha256_parts(&parts)
+    hasher.finalize()
 }
 
 /// Digests of the built-in [`BundleSet::full_set`] bundles, computed
@@ -331,6 +332,10 @@ mod tests {
         assert_eq!(bundle_digest(&a), bundle_digest(&same));
         assert_ne!(bundle_digest(&a), bundle_digest(&flipped));
         assert_ne!(bundle_digest(&a), bundle_digest(&renamed));
+        // The streamed digest keeps the `sha256_parts` framing, so
+        // digests clients already hold stay valid.
+        let parts: [&[u8]; 4] = [b"ipd-bundle-v1", b"X", b"f", b"hello world"];
+        assert_eq!(bundle_digest(&a), crate::sha::sha256_parts(&parts));
     }
 
     #[test]

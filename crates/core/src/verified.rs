@@ -60,7 +60,8 @@ impl EquivCertificate {
         // Netlist digests identify bytes, not roles: the same netlist
         // hashes the same whether it appears as golden or revised (so
         // a self-check yields equal digests); the binding below fixes
-        // which side is which.
+        // which side is which. `sha256_parts` streams each part through
+        // the hasher, so neither netlist is copied.
         let golden_digest = sha256_parts(&[CERT_DOMAIN, golden_edif]);
         let revised_digest = sha256_parts(&[CERT_DOMAIN, revised_edif]);
         let binding = sha256_parts(&[

@@ -266,3 +266,81 @@ fn mutated_edif_never_panics() {
         "parsed {parsed}, refused {refused}"
     );
 }
+
+/// Byte regions of a sealed container, `version (1) || nonce (8) ||
+/// iv (32) || ciphertext`, as documented on `ipd::core::seal`.
+const SEAL_REGIONS: [(&str, std::ops::Range<usize>); 3] =
+    [("version", 0..1), ("nonce", 1..9), ("iv", 9..41)];
+
+/// `unseal` faces bytes from the network: every truncation, every
+/// single-bit flip in every region and the wrong key are refused with
+/// a typed error, and random multi-byte mutations of a sealed netlist
+/// never panic and never open.
+#[test]
+fn hostile_sealed_payloads_are_refused() {
+    use ipd::core::{bundle_key, seal, unseal, CoreError};
+
+    let authority = LicenseAuthority::new(b"vendor".to_vec());
+    let acme = authority.issue("acme", "kcm", CapabilitySet::licensed(), 0, 10);
+    let bolt = authority.issue("bolt", "kcm", CapabilitySet::licensed(), 0, 10);
+    let key = bundle_key(b"vendor", &acme);
+    let plain: Vec<u8> = (0..100u32).map(|i| (i * 7 + 1) as u8).collect();
+    let sealed = seal(&plain, &key, 100);
+    assert_eq!(unseal(&sealed, &key).expect("round trip"), plain);
+    let ciphertext = SEAL_REGIONS[2].1.end..sealed.len();
+
+    for len in 0..sealed.len() {
+        assert!(unseal(&sealed[..len], &key).is_err(), "truncated to {len}");
+    }
+    let mut extended = sealed.clone();
+    extended.push(0);
+    assert!(unseal(&extended, &key).is_err(), "extended by one byte");
+
+    let regions = SEAL_REGIONS
+        .iter()
+        .cloned()
+        .chain([("ciphertext", ciphertext)]);
+    for (region, range) in regions {
+        for at in range {
+            for bit in 0..8 {
+                let mut bytes = sealed.clone();
+                bytes[at] ^= 1 << bit;
+                let err = unseal(&bytes, &key).expect_err(region);
+                match (region, err) {
+                    ("version", CoreError::SealVersion { .. })
+                    | (_, CoreError::LicenseInvalid { .. }) => {}
+                    (_, other) => panic!("{region} byte {at} bit {bit}: {other}"),
+                }
+            }
+        }
+    }
+
+    let wrong = bundle_key(b"vendor", &bolt);
+    assert!(matches!(
+        unseal(&sealed, &wrong),
+        Err(CoreError::LicenseInvalid { .. })
+    ));
+
+    let kcm = KcmMultiplier::new(-56, 8, 12).signed(true);
+    let edif = ipd::netlist::NetlistFormat::Edif
+        .generate(&Circuit::from_generator(&kcm).expect("build"))
+        .expect("netlist");
+    let sealed = seal(edif.as_bytes(), &key, 7);
+    check_n("mutated_seal", 200, |rng| {
+        let mut bytes = sealed.clone();
+        for _ in 0..=rng.index(3) {
+            let at = rng.index(bytes.len());
+            match rng.index(4) {
+                0 => bytes.truncate(at),
+                1 if at < bytes.len() => bytes[at] ^= 1 << rng.index(8),
+                2 if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => bytes.insert(at, rng.next_u64() as u8),
+            }
+        }
+        if bytes != sealed {
+            assert!(unseal(&bytes, &key).is_err(), "mutated payload opened");
+        }
+    });
+}
